@@ -4,66 +4,65 @@
 
 namespace flexric::telemetry {
 
-void Ingest::put(AgentId agent, std::uint32_t entity, Metric m, Nanos t,
-                 double v) {
+void Ingest::write(AgentId agent, std::uint32_t entity, Nanos t,
+                   std::span<const MetricSample> samples) {
   const AgentId gid = (cfg_.agent_namespace << 24) | (agent & 0xFFFFFF);
   // Budget rejections are counted by the store (dropped_samples); ingestion
   // keeps going so one saturated series cannot stall the rest of the report.
-  static_cast<void>(store_.record(SeriesKey{gid, entity, m}, t, v));
-  samples_in_++;
+  static_cast<void>(store_.record_entity(gid, entity, t, samples));
+  samples_in_ += samples.size();
 }
 
+// Each entity's array lists the core metrics first; extended_metrics
+// widens the span to the rest.
 void Ingest::mac(AgentId agent, Nanos t, const e2sm::mac::IndicationMsg& msg) {
   for (const e2sm::mac::UeStats& ue : msg.ues) {
-    std::uint32_t ent = make_entity(ue.rnti);
-    put(agent, ent, Metric::mac_cqi, t, ue.cqi);
-    put(agent, ent, Metric::mac_mcs_dl, t, ue.mcs_dl);
-    put(agent, ent, Metric::mac_prbs_dl, t, ue.prbs_dl);
-    put(agent, ent, Metric::mac_bytes_dl, t,
-        static_cast<double>(ue.bytes_dl));
-    put(agent, ent, Metric::mac_bytes_ul, t,
-        static_cast<double>(ue.bytes_ul));
-    put(agent, ent, Metric::mac_bsr, t, ue.bsr);
-    if (cfg_.extended_metrics) {
-      put(agent, ent, Metric::mac_mcs_ul, t, ue.mcs_ul);
-      put(agent, ent, Metric::mac_prbs_ul, t, ue.prbs_ul);
-      put(agent, ent, Metric::mac_phr_db, t,
-          static_cast<double>(ue.phr_db));
-      put(agent, ent, Metric::mac_harq_retx, t, ue.harq_retx);
-    }
+    const MetricSample s[] = {
+        {Metric::mac_cqi, static_cast<double>(ue.cqi)},
+        {Metric::mac_mcs_dl, static_cast<double>(ue.mcs_dl)},
+        {Metric::mac_prbs_dl, static_cast<double>(ue.prbs_dl)},
+        {Metric::mac_bytes_dl, static_cast<double>(ue.bytes_dl)},
+        {Metric::mac_bytes_ul, static_cast<double>(ue.bytes_ul)},
+        {Metric::mac_bsr, static_cast<double>(ue.bsr)},
+        {Metric::mac_mcs_ul, static_cast<double>(ue.mcs_ul)},
+        {Metric::mac_prbs_ul, static_cast<double>(ue.prbs_ul)},
+        {Metric::mac_phr_db, static_cast<double>(ue.phr_db)},
+        {Metric::mac_harq_retx, static_cast<double>(ue.harq_retx)},
+    };
+    write(agent, make_entity(ue.rnti), t,
+          std::span(s).first(cfg_.extended_metrics ? 10 : 6));
   }
 }
 
 void Ingest::rlc(AgentId agent, Nanos t, const e2sm::rlc::IndicationMsg& msg) {
   for (const e2sm::rlc::BearerStats& b : msg.bearers) {
-    std::uint32_t ent = make_entity(b.rnti, b.drb_id);
-    put(agent, ent, Metric::rlc_tx_bytes, t, static_cast<double>(b.tx_bytes));
-    put(agent, ent, Metric::rlc_buffer_bytes, t, b.buffer_bytes);
-    put(agent, ent, Metric::rlc_sojourn_avg_ms, t, b.sojourn_avg_ms);
-    put(agent, ent, Metric::rlc_sojourn_max_ms, t, b.sojourn_max_ms);
-    if (cfg_.extended_metrics) {
-      put(agent, ent, Metric::rlc_rx_bytes, t,
-          static_cast<double>(b.rx_bytes));
-      put(agent, ent, Metric::rlc_buffer_pkts, t, b.buffer_pkts);
-      put(agent, ent, Metric::rlc_retx_pdus, t, b.retx_pdus);
-      put(agent, ent, Metric::rlc_dropped_sdus, t, b.dropped_sdus);
-    }
+    const MetricSample s[] = {
+        {Metric::rlc_tx_bytes, static_cast<double>(b.tx_bytes)},
+        {Metric::rlc_buffer_bytes, static_cast<double>(b.buffer_bytes)},
+        {Metric::rlc_sojourn_avg_ms, b.sojourn_avg_ms},
+        {Metric::rlc_sojourn_max_ms, b.sojourn_max_ms},
+        {Metric::rlc_rx_bytes, static_cast<double>(b.rx_bytes)},
+        {Metric::rlc_buffer_pkts, static_cast<double>(b.buffer_pkts)},
+        {Metric::rlc_retx_pdus, static_cast<double>(b.retx_pdus)},
+        {Metric::rlc_dropped_sdus, static_cast<double>(b.dropped_sdus)},
+    };
+    write(agent, make_entity(b.rnti, b.drb_id), t,
+          std::span(s).first(cfg_.extended_metrics ? 8 : 4));
   }
 }
 
 void Ingest::pdcp(AgentId agent, Nanos t,
                   const e2sm::pdcp::IndicationMsg& msg) {
   for (const e2sm::pdcp::BearerStats& b : msg.bearers) {
-    std::uint32_t ent = make_entity(b.rnti, b.drb_id);
-    put(agent, ent, Metric::pdcp_tx_sdu_bytes, t,
-        static_cast<double>(b.tx_sdu_bytes));
-    put(agent, ent, Metric::pdcp_rx_sdu_bytes, t,
-        static_cast<double>(b.rx_sdu_bytes));
-    if (cfg_.extended_metrics) {
-      put(agent, ent, Metric::pdcp_tx_pdus, t, b.tx_pdus);
-      put(agent, ent, Metric::pdcp_rx_pdus, t, b.rx_pdus);
-      put(agent, ent, Metric::pdcp_discarded_sdus, t, b.discarded_sdus);
-    }
+    const MetricSample s[] = {
+        {Metric::pdcp_tx_sdu_bytes, static_cast<double>(b.tx_sdu_bytes)},
+        {Metric::pdcp_rx_sdu_bytes, static_cast<double>(b.rx_sdu_bytes)},
+        {Metric::pdcp_tx_pdus, static_cast<double>(b.tx_pdus)},
+        {Metric::pdcp_rx_pdus, static_cast<double>(b.rx_pdus)},
+        {Metric::pdcp_discarded_sdus, static_cast<double>(b.discarded_sdus)},
+    };
+    write(agent, make_entity(b.rnti, b.drb_id), t,
+          std::span(s).first(cfg_.extended_metrics ? 5 : 2));
   }
 }
 

@@ -71,7 +71,9 @@ class Ingest {
   }
 
  private:
-  void put(AgentId agent, std::uint32_t entity, Metric m, Nanos t, double v);
+  /// One entity's samples as one batched store write.
+  void write(AgentId agent, std::uint32_t entity, Nanos t,
+             std::span<const MetricSample> samples);
 
   TelemetryStore& store_;
   IngestConfig cfg_;

@@ -2,17 +2,6 @@
 
 namespace flexric::telemetry {
 
-namespace {
-
-/// Floor division for bucket alignment (timestamps may legally be 0).
-Nanos bucket_start(Nanos t, Nanos width) noexcept {
-  Nanos q = t / width;
-  if (t % width != 0 && t < 0) q--;
-  return q * width;
-}
-
-}  // namespace
-
 std::size_t SeriesLayout::bytes_per_series() const noexcept {
   return sizeof(TimeSeries) + raw_capacity * sizeof(RawSample) +
          (tier1_capacity + tier2_capacity) * sizeof(Rollup);
@@ -50,12 +39,12 @@ void TimeSeries::push(Nanos t, double v) {
 
   Nanos b1 = bucket_start(t, layout_.tier1_width);
   if (open1_active_ && b1 > open1_.t_start) close_tier1();
-  if (!open1_active_) {
-    open1_ = Rollup{};
+  if (!open1_active_) {  // close_tier1() left open1_ empty
     open1_.t_start = b1;
     open1_active_ = true;
   }
-  open1_.add(v);
+  std::size_t idx = open1_.add(v);
+  open1_nonzero_[idx / 64] |= std::uint64_t{1} << (idx % 64);
 }
 
 void TimeSeries::close_tier1() {
@@ -67,10 +56,8 @@ void TimeSeries::close_tier1() {
     open2_.t_start = b2;
     open2_active_ = true;
   }
-  // Keep the tier2 bucket's aligned start: merge only folds in the stats.
-  Nanos keep = open2_.t_start;
-  open2_.merge(open1_);
-  open2_.t_start = keep;
+  open1_.move_into(open2_, open1_nonzero_);
+  open1_nonzero_ = {};
   open1_active_ = false;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace flexric::telemetry {
@@ -37,10 +38,30 @@ class QuantileSketch {
   static constexpr std::size_t kBuckets =
       2 + static_cast<std::size_t>(kMaxExp - kMinExp + 1) * kSub;
 
-  void record(double v) noexcept { bump(bucket_of(v), 1); }
+  /// One bit per bucket; see move_into().
+  using BucketMask = std::array<std::uint64_t, (kBuckets + 63) / 64>;
+
+  /// Returns the bucket the value landed in.
+  std::size_t record(double v) noexcept {
+    std::size_t idx = bucket_of(v);
+    bump(idx, 1);
+    return idx;
+  }
   /// Bucket-wise merge (saturating); merging adds no quantile error.
   void merge(const QuantileSketch& o) noexcept {
     for (std::size_t i = 0; i < kBuckets; ++i) bump(i, o.counts_[i]);
+  }
+  /// dst.merge(*this) then clear(), visiting only the buckets in `nonzero`,
+  /// which must cover every non-zero one: O(set bits), not O(kBuckets).
+  void move_into(QuantileSketch& dst, const BucketMask& nonzero) noexcept {
+    for (std::size_t w = 0; w < nonzero.size(); ++w)
+      for (std::uint64_t bits = nonzero[w]; bits != 0; bits &= bits - 1) {
+        std::size_t i =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        dst.bump(i, counts_[i]);
+        counts_[i] = 0;
+      }
+    total_ = 0;
   }
   [[nodiscard]] std::uint64_t count() const noexcept { return total_; }
   /// q in [0,1], nearest-rank over buckets; midpoint of the selected

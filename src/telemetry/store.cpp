@@ -41,12 +41,6 @@ constexpr MetricName kMetricNames[] = {
     {Metric::ov_flood_quarantines, "ov_flood_quarantines"},
 };
 
-Nanos bucket_start(Nanos t, Nanos width) noexcept {
-  Nanos q = t / width;
-  if (t % width != 0 && t < 0) q--;
-  return q * width;
-}
-
 /// Exact nearest-rank quantile over the (sorted) raw values of a window.
 double exact_quantile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
@@ -93,47 +87,65 @@ TelemetryStore::TelemetryStore(StoreConfig cfg) : cfg_(cfg) {
 }
 
 bool TelemetryStore::evict_one() {
-  if (series_.empty()) return false;
-  auto victim = series_.begin();
-  for (auto it = series_.begin(); it != series_.end(); ++it)
-    if (it->second.last_write_seq < victim->second.last_write_seq) victim = it;
-  series_.erase(victim);
+  if (lru_.empty()) return false;
+  auto row = rows_.find(lru_.front().row);
+  std::erase_if(row->second.slots,
+                [&](const Slot& s) { return s.series == lru_.begin(); });
+  if (row->second.slots.empty()) rows_.erase(row);
+  lru_.pop_front();
   evictions_++;
   return true;
 }
 
-// Allocation lives here, not in record(): a series is created once per key
-// (then evicted at most once per budget breach), while record() runs per
-// sample — keeping the two in separate functions lets the hotpath-alloc
-// pass verify the per-sample path allocation-free instead of carrying
-// baseline debt for the first-contact case.
+// Allocation lives here, not in record_entity(): a series is created once
+// per key (then evicted at most once per budget breach), while
+// record_entity() runs per report — keeping the two in separate functions
+// lets the hotpath-alloc pass verify the per-sample path allocation-free
+// instead of carrying baseline debt for the first-contact case.
 // @coldpath first contact per series key, not per sample
-TelemetryStore::Entry* TelemetryStore::ensure_entry(const SeriesKey& key) {
-  while (sizeof(*this) + (series_.size() + 1) * per_series_cost_ >
+const TelemetryStore::Slot* TelemetryStore::ensure_series(RowKey key,
+                                                          Metric m,
+                                                          Row*& row) {
+  while (sizeof(*this) + (lru_.size() + 1) * per_series_cost_ >
          cfg_.memory_budget) {
     if (!cfg_.evict_on_budget || !evict_one()) {
       dropped_++;
+      if (lru_.empty()) row = nullptr;  // evicted everything, row included
       return nullptr;
     }
   }
-  return &series_.emplace(key, Entry(cfg_.layout)).first->second;
+  lru_.emplace_back(cfg_.layout, key);
+  row = &rows_[key];
+  return &row->slots.emplace_back(Slot{m, std::prev(lru_.end())});
 }
 
-// @hotpath one call per ingested sample
-Status TelemetryStore::record(const SeriesKey& key, Nanos t, double v) {
+// @hotpath one call per entity per report: one row lookup for its metrics
+Status TelemetryStore::record_entity(AgentId agent, std::uint32_t entity,
+                                     Nanos t,
+                                     std::span<const MetricSample> samples) {
   FLEXRIC_ASSERT_AFFINITY(affinity_);
-  auto it = series_.find(key);
-  Entry* e = it != series_.end() ? &it->second : ensure_entry(key);
-  if (e == nullptr) return Errc::capacity;
-  e->series.push(t, v);
-  e->last_write_seq = ++write_seq_;
-  total_samples_++;
-  return Status::ok();
+  const RowKey key = RowKey{agent} << 32 | entity;
+  auto it = rows_.find(key);
+  Row* row = it != rows_.end() ? &it->second : nullptr;
+  Status st = Status::ok();
+  for (const MetricSample& sample : samples) {
+    const Slot* slot = row != nullptr ? row->find(sample.metric) : nullptr;
+    if (slot == nullptr) slot = ensure_series(key, sample.metric, row);
+    if (slot == nullptr) {
+      st = Errc::capacity;
+      continue;
+    }
+    lru_.splice(lru_.end(), lru_, slot->series);  // now the newest write
+    slot->series->ts.push(t, sample.v);
+    total_samples_++;
+  }
+  return st;
 }
 
 const TimeSeries* TelemetryStore::find(const SeriesKey& key) const {
-  auto it = series_.find(key);
-  return it == series_.end() ? nullptr : &it->second.series;
+  auto it = rows_.find(RowKey{key.agent} << 32 | key.entity);
+  const Slot* s = it == rows_.end() ? nullptr : it->second.find(key.metric);
+  return s == nullptr ? nullptr : &s->series->ts;
 }
 
 Result<std::vector<RawSample>> TelemetryStore::raw_range(const SeriesKey& key,
@@ -236,24 +248,23 @@ Result<WindowAggregate> TelemetryStore::window_aggregate(
 
 std::vector<SeriesInfo> TelemetryStore::list_series() const {
   std::vector<SeriesInfo> out;
-  out.reserve(series_.size());
-  for (const auto& [key, entry] : series_) {
-    SeriesInfo info;
-    info.key = key;
-    info.total_samples = entry.series.total_samples();
-    info.raw_count = entry.series.raw_count();
-    info.tier1_count = entry.series.rollup_count(1);
-    info.tier2_count = entry.series.rollup_count(2);
-    info.oldest_raw_t = entry.series.oldest_raw_t();
-    info.last_t = entry.series.last_t();
-    out.push_back(info);
-  }
+  out.reserve(lru_.size());
+  for (const auto& [key, row] : rows_)
+    for (const Slot& slot : row.slots) {
+      const TimeSeries& s = slot.series->ts;
+      out.push_back({{static_cast<AgentId>(key >> 32),
+                      static_cast<std::uint32_t>(key), slot.metric},
+                     s.total_samples(), s.raw_count(), s.rollup_count(1),
+                     s.rollup_count(2), s.oldest_raw_t(), s.last_t()});
+    }
+  std::sort(out.begin(), out.end(),
+            [](const auto& a, const auto& b) { return a.key < b.key; });
   return out;
 }
 
 std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
   std::string out;
-  out.reserve(256 + series_.size() * (128 + max_raw_per_series * 32));
+  out.reserve(256 + lru_.size() * (128 + max_raw_per_series * 32));
   out += "{\"budget_bytes\":";
   append_u64(out, memory_budget());
   out += ",\"memory_bytes\":";
@@ -268,7 +279,8 @@ std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
   append_u64(out, dropped_);
   out += ",\"series\":[";
   bool first = true;
-  for (const auto& [key, entry] : series_) {
+  for (const SeriesInfo& info : list_series()) {
+    const SeriesKey& key = info.key;
     if (!first) out += ',';
     first = false;
     out += "{\"agent\":";
@@ -280,15 +292,15 @@ std::string TelemetryStore::dump_json(std::size_t max_raw_per_series) const {
     out += ",\"metric\":\"";
     out += metric_name(key.metric);
     out += "\",\"total_samples\":";
-    append_u64(out, entry.series.total_samples());
+    append_u64(out, info.total_samples);
     out += ",\"tier1_rollups\":";
-    append_u64(out, entry.series.rollup_count(1));
+    append_u64(out, info.tier1_count);
     out += ",\"tier2_rollups\":";
-    append_u64(out, entry.series.rollup_count(2));
+    append_u64(out, info.tier2_count);
     out += ",\"last_t\":";
-    append_i64(out, entry.series.last_t());
+    append_i64(out, info.last_t);
     out += ",\"raw\":[";
-    std::vector<RawSample> tail = entry.series.latest(max_raw_per_series);
+    std::vector<RawSample> tail = find(key)->latest(max_raw_per_series);
     for (std::size_t i = 0; i < tail.size(); ++i) {
       if (i != 0) out += ',';
       out += '[';

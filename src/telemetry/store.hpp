@@ -6,7 +6,8 @@
 // This store is the middle ground the server library's RAN database (§4.2.2)
 // needs at production scale: per-(agent, entity, metric) ring-buffer series
 // with eager multi-resolution downsampling (series.hpp) under one global
-// memory budget.
+// memory budget. A hash row per (agent, entity) holds that entity's series,
+// so record_entity() writes a report's metrics with one lookup.
 //
 // Memory model: every series costs exactly
 // SeriesLayout::bytes_per_series() + kSeriesOverhead bytes (rings never
@@ -21,9 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <list>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/affinity.hpp"
@@ -92,6 +95,12 @@ struct SeriesKey {
   auto operator<=>(const SeriesKey&) const = default;
 };
 
+/// One metric's value within an entity's report (record_entity).
+struct MetricSample {
+  Metric metric = Metric::mac_cqi;
+  double v = 0.0;
+};
+
 struct StoreConfig {
   std::size_t memory_budget = 32u << 20;  ///< bytes, all series combined
   SeriesLayout layout;
@@ -129,9 +138,15 @@ class TelemetryStore {
  public:
   explicit TelemetryStore(StoreConfig cfg);
 
-  /// Ingest one sample. Errc::capacity when a new series cannot be
-  /// admitted under the budget (and eviction is off or cannot help).
-  Status record(const SeriesKey& key, Nanos t, double v);
+  /// Ingest an entity's samples at time t, in order. Errc::capacity when a
+  /// new series cannot be admitted under the budget (and eviction is off or
+  /// cannot help); the other samples still land.
+  Status record_entity(AgentId agent, std::uint32_t entity, Nanos t,
+                       std::span<const MetricSample> samples);
+  Status record(const SeriesKey& key, Nanos t, double v) {
+    const MetricSample s{key.metric, v};
+    return record_entity(key.agent, key.entity, t, {&s, 1});
+  }
 
   // -- queries (Errc::not_found for unknown series) --
   [[nodiscard]] Result<std::vector<RawSample>> raw_range(const SeriesKey& key,
@@ -150,10 +165,10 @@ class TelemetryStore {
 
   // -- accounting --
   [[nodiscard]] std::size_t num_series() const noexcept {
-    return series_.size();
+    return lru_.size();
   }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return sizeof(*this) + series_.size() * per_series_cost_;
+    return sizeof(*this) + lru_.size() * per_series_cost_;
   }
   [[nodiscard]] std::size_t memory_budget() const noexcept {
     return cfg_.memory_budget;
@@ -175,27 +190,46 @@ class TelemetryStore {
       const;
 
  private:
-  /// Estimated per-series bookkeeping outside the rings (map node, key).
-  static constexpr std::size_t kSeriesOverhead = 96;
+  using RowKey = std::uint64_t;  ///< RowKey{agent} << 32 | entity
 
-  struct Entry {
-    TimeSeries series;
-    std::uint64_t last_write_seq = 0;
-    explicit Entry(const SeriesLayout& l) : series(l) {}
+  struct Series {
+    TimeSeries ts;
+    RowKey row;
+    Series(const SeriesLayout& l, RowKey r) : ts(l), row(r) {}
+  };
+  struct Slot {
+    Metric metric;
+    std::list<Series>::iterator series;
+  };
+  struct Row {
+    std::vector<Slot> slots;  ///< creation order
+    [[nodiscard]] const Slot* find(Metric m) const noexcept {
+      for (const Slot& s : slots)
+        if (s.metric == m) return &s;
+      return nullptr;
+    }
   };
 
+  /// Per-series bookkeeping outside the rings: a one-series row's hash node,
+  /// bucket pointer and slot, plus the series' list links and row key.
+  static constexpr std::size_t kSeriesOverhead = 96;
+  static_assert(4 * sizeof(void*) + sizeof(std::pair<const RowKey, Row>) +
+                    sizeof(Slot) + sizeof(Series) - sizeof(TimeSeries) <=
+                kSeriesOverhead);
+
   bool evict_one();
-  /// First-contact slow path of record(): eviction loop + map-node
-  /// allocation. nullptr when the budget rejects the new series.
-  Entry* ensure_entry(const SeriesKey& key);
+  /// First-contact slow path of record_entity(): eviction loop + row and
+  /// series allocation. Re-points `row` (evictions may free it); nullptr
+  /// when the budget rejects the new series.
+  const Slot* ensure_series(RowKey key, Metric m, Row*& row);
 
   StoreConfig cfg_;
   /// No Reactor reference here, so the stamp lazily binds to the first
   /// calling thread (check_or_bind); mutable because const queries check it.
   mutable ReactorAffinity affinity_;
   std::size_t per_series_cost_ = 0;
-  std::map<SeriesKey, Entry> series_;
-  std::uint64_t write_seq_ = 0;
+  std::unordered_map<RowKey, Row> rows_;
+  std::list<Series> lru_;  ///< every series, least recently written first
   std::uint64_t evictions_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t total_samples_ = 0;

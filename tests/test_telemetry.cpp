@@ -153,23 +153,39 @@ double naive_quantile(const NaiveBucket& b, double q) {
   return b.values[static_cast<std::size_t>(q * (b.values.size() - 1))];
 }
 
+// Feeds `samples` to a fresh series and returns the log a naive
+// recomputation needs. A late sample is folded into the open tier1 bucket
+// (series.hpp), so the log files it at that bucket's start.
+std::vector<RawSample> push_all(TimeSeries& series,
+                                const std::vector<RawSample>& samples) {
+  std::vector<RawSample> log;
+  Nanos newest = samples.empty() ? 0 : samples.front().t;
+  for (const RawSample& s : samples) {
+    series.push(s.t, s.v);
+    newest = std::max(newest, s.t);
+    log.push_back(
+        {std::max(s.t, bucket_start(newest, series.layout().tier1_width)),
+         s.v});
+  }
+  return log;
+}
+
 // The central property: every retained rollup (both tiers, closed and open)
 // carries exactly the count/sum/min/max a naive recomputation over the full
 // sample log produces, and its sketch quantiles are within the documented
 // relative error of the exact quantiles. Integer-valued samples make the
 // floating-point sums associativity-proof, so equality is exact.
-TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
-  Rng rng(47);
+void expect_rollups_match_naive(const char* input,
+                                const std::vector<RawSample>& samples) {
+  SCOPED_TRACE(input);
   SeriesLayout layout;
+  layout.tier1_capacity = 1024;  // retain every tier1 bucket of the inputs
   TimeSeries series(layout);
-  std::vector<RawSample> log;
+  std::vector<RawSample> log = push_all(series, samples);
   Nanos t = 0;
-  for (int i = 0; i < 5000; ++i) {
-    t += kMilli;
-    auto v = static_cast<double>(1 + rng.bounded(1000));
-    series.push(t, v);
-    log.push_back({t, v});
-  }
+  for (const RawSample& s : log) t = std::max(t, s.t);
+  // Tier 2 holds closed tier1 buckets only: the open one is not in it yet.
+  const Nanos open1 = bucket_start(t, layout.tier1_width);
 
   for (int tier : {1, 2}) {
     Nanos width = tier == 1 ? layout.tier1_width : layout.tier2_width;
@@ -177,20 +193,82 @@ TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
         series.rollup_range(tier, 0, t + kSecond);
     ASSERT_FALSE(rollups.empty()) << "tier " << tier;
     for (const Rollup& r : rollups) {
-      NaiveBucket n = naive_window(log, r.t_start, r.t_start + width);
+      Nanos end = r.t_start + width;
+      NaiveBucket n = naive_window(log, r.t_start,
+                                   tier == 1 ? end : std::min(end, open1));
       ASSERT_EQ(r.count, n.count) << "tier " << tier << " t=" << r.t_start;
       EXPECT_EQ(r.sum, n.sum) << "tier " << tier << " t=" << r.t_start;
       EXPECT_EQ(r.min, n.min);
       EXPECT_EQ(r.max, n.max);
       EXPECT_EQ(r.sketch.count(), n.count);
       for (double q : {0.5, 0.95, 0.99}) {
-        double exact = naive_quantile(n, q);
+        // The overflow bucket reports kMaxValue (sketch.hpp).
+        double exact =
+            std::min(naive_quantile(n, q), QuantileSketch::kMaxValue);
         EXPECT_NEAR(r.sketch.quantile(q), exact,
                     exact * QuantileSketch::kRelativeError + 1e-9)
             << "tier " << tier << " q=" << q;
       }
     }
   }
+}
+
+TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
+  // 1 ms cadence: ~100 samples per tier1 bucket.
+  Rng rng(47);
+  std::vector<RawSample> dense;
+  for (int i = 1; i <= 5000; ++i)
+    dense.push_back({i * kMilli, static_cast<double>(1 + rng.bounded(1000))});
+  expect_rollups_match_naive("1 ms", dense);
+
+  // 40 ms cadence: 2-3 samples per tier1 bucket, so each close merges and
+  // clears only a few sketch buckets.
+  std::vector<RawSample> sparse;
+  for (int i = 1; i <= 2000; ++i)
+    sparse.push_back(
+        {i * 40 * kMilli, static_cast<double>(1 + rng.bounded(1000))});
+  expect_rollups_match_naive("40 ms", sparse);
+
+  // Mixed: 100 ms bursts of 400 samples spread over 40 octaves, low-rate
+  // stretches with empty tier1 buckets, and late samples. The second half,
+  // after a gap no rollup spans, is scaled by 2^20: it reaches the top sketch
+  // buckets while every sum stays exact.
+  std::vector<RawSample> mixed;
+  Nanos t = 0;
+  for (int round = 0; round < 12; ++round) {
+    const double scale = round < 6 ? 1.0 : std::exp2(20.0);
+    if (round == 6) t += 2 * kSecond;
+    auto wide = [&] {
+      return scale * std::floor(std::exp2(rng.uniform(0.0, 40.0)));
+    };
+    for (int i = 0; i < 400; ++i) {
+      t += 250 * kMicro;
+      mixed.push_back({t, wide()});
+    }
+    for (int i = 0; i < 10; ++i) {
+      t += static_cast<Nanos>(40 + rng.bounded(700)) * kMilli;
+      mixed.push_back({t, scale * static_cast<double>(rng.bounded(100))});
+      if (rng.bounded(4) == 0)  // late: up to 150 ms behind the newest
+        mixed.push_back({t - static_cast<Nanos>(rng.bounded(150)) * kMilli,
+                         wide()});
+    }
+  }
+  std::size_t widest = 0;  // distinct sketch buckets in one tier1 bucket
+  std::size_t top = 0;
+  for (std::size_t i = 0; i < mixed.size();) {
+    Nanos b = bucket_start(mixed[i].t, 100 * kMilli);
+    std::vector<std::size_t> seen;
+    for (; i < mixed.size() && bucket_start(mixed[i].t, 100 * kMilli) == b;
+         ++i)
+      seen.push_back(QuantileSketch::bucket_of(mixed[i].v));
+    std::sort(seen.begin(), seen.end());
+    top = std::max(top, seen.back());
+    widest = std::max<std::size_t>(
+        widest, std::unique(seen.begin(), seen.end()) - seen.begin());
+  }
+  ASSERT_GT(widest, 100u);
+  ASSERT_EQ(top, QuantileSketch::kBuckets - 1);  // the overflow bucket
+  expect_rollups_match_naive("mixed", mixed);
 }
 
 TEST(TimeSeries, RawRingWrapsButRollupsRetainHistory) {
@@ -383,6 +461,71 @@ TEST(Store, ListSeriesReportsRetention) {
   EXPECT_EQ(infos[0].key.agent, 1u);
   EXPECT_EQ(infos[0].total_samples, 1u);
   EXPECT_EQ(entity_rnti(infos[1].key.entity), 6);
+}
+
+// record_entity() must be indistinguishable from a loop of record(): same
+// series, same eviction victims (the LRU order is per series, not per row),
+// same bytes out.
+TEST(Store, BatchedWriteMatchesRecordLoop) {
+  TelemetryStore batched(small_store(5));
+  TelemetryStore looped(small_store(5));
+  auto write = [&](AgentId agent, std::uint16_t rnti, Nanos t,
+                   std::vector<MetricSample> samples) {
+    ASSERT_TRUE(batched.record_entity(agent, make_entity(rnti), t, samples)
+                    .is_ok());
+    for (const MetricSample& s : samples)
+      ASSERT_TRUE(looped.record(key_of(agent, rnti, s.metric), t, s.v)
+                      .is_ok());
+  };
+  auto expect_same = [&] {
+    EXPECT_EQ(batched.dump_json(), looped.dump_json());
+    auto a = batched.list_series();
+    auto b = looped.list_series();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].key, b[i].key);
+      EXPECT_EQ(a[i].total_samples, b[i].total_samples);
+      EXPECT_EQ(a[i].raw_count, b[i].raw_count);
+      EXPECT_EQ(a[i].tier1_count, b[i].tier1_count);
+      EXPECT_EQ(a[i].tier2_count, b[i].tier2_count);
+      EXPECT_EQ(a[i].oldest_raw_t, b[i].oldest_raw_t);
+      EXPECT_EQ(a[i].last_t, b[i].last_t);
+    }
+  };
+  // A three-series row whose middle series goes stale...
+  write(1, 10, kMilli,
+        {{Metric::mac_cqi, 1}, {Metric::mac_bsr, 2}, {Metric::mac_bytes_dl, 3}});
+  write(2, 20, 2 * kMilli, {{Metric::mac_cqi, 4}});
+  write(1, 10, 3 * kMilli, {{Metric::mac_cqi, 5}, {Metric::mac_bytes_dl, 6}});
+  write(2, 20, 4 * kMilli, {{Metric::mac_bsr, 7}});
+  // ...is the victim when a sixth series needs room.
+  write(3, 30, 5 * kMilli, {{Metric::rlc_tx_bytes, 8}});
+  for (const TelemetryStore* s : {&batched, &looped}) {
+    EXPECT_EQ(s->find(key_of(1, 10, Metric::mac_bsr)), nullptr);
+    EXPECT_NE(s->find(key_of(1, 10, Metric::mac_cqi)), nullptr);
+    EXPECT_NE(s->find(key_of(1, 10, Metric::mac_bytes_dl)), nullptr);
+    EXPECT_EQ(s->evictions(), 1u);
+  }
+  expect_same();
+
+  // Random reports over more entities than fit: rows lose series mid-batch
+  // and are freed when their last series goes.
+  Rng rng(5);
+  const Metric kMetrics[] = {Metric::mac_cqi, Metric::mac_bsr,
+                             Metric::mac_prbs_dl, Metric::mac_bytes_ul};
+  for (int i = 0; i < 400; ++i) {
+    std::vector<MetricSample> samples;
+    for (Metric m : kMetrics)
+      if (rng.bounded(2) == 0)
+        samples.push_back({m, static_cast<double>(rng.bounded(100))});
+    write(1 + static_cast<AgentId>(rng.bounded(3)),
+          static_cast<std::uint16_t>(rng.bounded(4)), (6 + i) * kMilli,
+          samples);
+  }
+  EXPECT_EQ(batched.evictions(), looped.evictions());
+  EXPECT_GT(batched.evictions(), 100u);
+  EXPECT_EQ(batched.num_series(), 5u);
+  expect_same();
 }
 
 TEST(Store, MetricNamesRoundTrip) {
