@@ -1,17 +1,14 @@
 #include "codec/per.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace flexric {
 
 namespace {
+/// Minimal number of octets holding v (at least one).
 unsigned octets_for(std::uint64_t v) noexcept {
-  unsigned n = 1;
-  while (v > 0xFF) {
-    ++n;
-    v >>= 8;
-  }
-  return n;
+  return v == 0 ? 1 : (static_cast<unsigned>(std::bit_width(v)) + 7) / 8;
 }
 }  // namespace
 
@@ -78,8 +75,7 @@ void PerWriter::length(std::size_t n) {
 
 void PerWriter::octets(BytesView b) {
   length(b.size());
-  bw_.align();
-  for (std::uint8_t byte : b) bw_.bits(byte, 8);
+  (void)bw_.bytes(b);  // cannot fail: length() leaves the writer aligned
 }
 
 void PerWriter::real(double v) {
@@ -107,15 +103,7 @@ Result<std::uint64_t> PerReader::constrained(std::uint64_t lo,
     if (*r >= range) return Error{Errc::out_of_range, "constrained overflow"};
     return lo + *r;
   }
-  unsigned max_oct = 1;
-  {
-    std::uint64_t m = hi - lo;
-    max_oct = 1;
-    while (m > 0xFF) {
-      ++max_oct;
-      m >>= 8;
-    }
-  }
+  unsigned max_oct = octets_for(hi - lo);
   auto noct_r = br_.bits(bits_for_range(max_oct));
   if (!noct_r) return noct_r.error();
   unsigned noct = static_cast<unsigned>(*noct_r) + 1;
@@ -171,37 +159,34 @@ Result<std::size_t> PerReader::length() {
   return Error{Errc::unsupported, "fragmented length determinant"};
 }
 
-Result<Buffer> PerReader::octets() {
+Result<BytesView> PerReader::octet_view() {
   auto n = length();
   if (!n) return n.error();
-  br_.align();
-  if (br_.bits_remaining() < *n * 8)
-    return Error{Errc::truncated, "octet string past end"};
-  Buffer out;
-  out.reserve(*n);
-  for (std::size_t i = 0; i < *n; ++i) {
-    auto b = br_.bits(8);
-    if (!b) return b.error();
-    out.push_back(static_cast<std::uint8_t>(*b));
-  }
-  return out;
+  return br_.bytes(*n);
+}
+
+Result<Buffer> PerReader::octets() {
+  auto b = octet_view();
+  if (!b) return b.error();
+  return Buffer(b->begin(), b->end());
 }
 
 Result<std::string> PerReader::str() {
-  auto b = octets();
+  auto b = octet_view();
   if (!b) return b.error();
   return std::string(reinterpret_cast<const char*>(b->data()), b->size());
 }
 
-Result<std::vector<bool>> PerReader::presence(std::size_t n) {
-  std::vector<bool> out;
-  out.reserve(n);
+Result<std::uint64_t> PerReader::presence(std::size_t n) {
+  if (n > 64)
+    return Error{Errc::out_of_range, "presence bitmap wider than 64 bits"};
+  std::uint64_t mask = 0;
   for (std::size_t i = 0; i < n; ++i) {
     auto b = br_.bit();
     if (!b) return b.error();
-    out.push_back(*b);
+    if (*b) mask |= std::uint64_t{1} << i;
   }
-  return out;
+  return mask;
 }
 
 Result<double> PerReader::real() {

@@ -2,38 +2,44 @@
 
 namespace flexric {
 
-void BitWriter::bits(std::uint64_t v, unsigned nbits) {
-  FLEXRIC_ASSERT(nbits <= 64, "nbits > 64");
-  v &= low_bits_mask(nbits);
-  while (nbits > 0) {
-    if (bitpos_ == 0) buf_.push_back(0);
-    unsigned room = 8 - bitpos_;
-    unsigned take = nbits < room ? nbits : room;
-    // take the top `take` bits of the remaining value; take <= 8, and
-    // nbits - take < 64, so both shifts below are well-defined
-    std::uint64_t chunk = (v >> (nbits - take)) & low_bits_mask(take);
-    buf_.back() = static_cast<std::uint8_t>(
-        buf_.back() | (chunk << (room - take)));
-    bitpos_ = (bitpos_ + take) % 8;
-    nbits -= take;
-  }
+void BitWriter::spill(std::uint64_t v, unsigned nbits) {
+  // nbits >= 64 - nacc_: the top `room` bits of v complete the word.
+  const unsigned room = 64 - nacc_;    // in [1, 64]
+  const unsigned rest = nbits - room;  // in [0, 63]
+  acc_ |= v >> rest;
+  flush_acc(8);
+  acc_ = rest == 0 ? 0 : v << (64 - rest);
+  nacc_ = rest;
 }
 
-void BitWriter::align() { bitpos_ = 0; }
+void BitWriter::flush_acc(unsigned n) {
+  const std::uint64_t be = host_to_be64(acc_);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&be);
+  buf_.insert(buf_.end(), p, p + n);
+  acc_ = 0;
+  nacc_ = 0;
+}
+
+void BitWriter::align() {
+  nacc_ = (nacc_ + 7) & ~7u;
+  if (nacc_ == 64) flush_acc(8);
+}
 
 Status BitWriter::bytes(BytesView b) {
-  if (bitpos_ != 0)
+  if (!aligned())
     return {Errc::malformed, "bit writer: bytes() while unaligned"};
+  flush_acc(nacc_ / 8);
   buf_.insert(buf_.end(), b.begin(), b.end());
   return Status::ok();
 }
 
 Buffer BitWriter::take() {
-  bitpos_ = 0;
+  align();
+  flush_acc(nacc_ / 8);
   return std::move(buf_);
 }
 
-Result<std::uint64_t> BitReader::bits(unsigned nbits) {
+Result<std::uint64_t> BitReader::bits_slow(unsigned nbits) {
   if (nbits > 64)
     return Error{Errc::out_of_range, "bit read wider than 64 bits"};
   if (bits_remaining() < nbits)
@@ -55,12 +61,6 @@ Result<std::uint64_t> BitReader::bits(unsigned nbits) {
   return v;
 }
 
-Result<bool> BitReader::bit() {
-  auto r = bits(1);
-  if (!r) return r.error();
-  return *r != 0;
-}
-
 void BitReader::align() {
   if (bitpos_ % 8 != 0) bitpos_ += 8 - (bitpos_ % 8);
 }
@@ -69,20 +69,9 @@ Result<BytesView> BitReader::bytes(std::size_t n) {
   if (!aligned())
     return Error{Errc::malformed, "bit reader: bytes() while unaligned"};
   std::size_t byte = bitpos_ / 8;
-  if (byte + n > data_.size()) return Error{Errc::truncated, "bytes past end"};
+  if (n > data_.size() - byte) return Error{Errc::truncated, "bytes past end"};
   bitpos_ += n * 8;
   return data_.subspan(byte, n);
-}
-
-unsigned bits_for_range(std::uint64_t range) noexcept {
-  if (range <= 1) return 0;
-  unsigned n = 0;
-  std::uint64_t max = range - 1;
-  while (max > 0) {
-    ++n;
-    max >>= 1;
-  }
-  return n;
 }
 
 }  // namespace flexric

@@ -108,7 +108,7 @@ Result<RanFunctionItem> dec_ran_function(PerReader& r) {
   f.name = std::move(*name);
   auto def = r.octets();
   if (!def) return def.error();
-  f.definition.assign(def->begin(), def->end());
+  f.definition = std::move(*def);
   return f;
 }
 
@@ -128,7 +128,7 @@ Result<Action> dec_action(PerReader& r) {
   a.type = static_cast<ActionType>(*t);
   auto def = r.octets();
   if (!def) return def.error();
-  a.definition.assign(def->begin(), def->end());
+  a.definition = std::move(*def);
   return a;
 }
 
@@ -288,12 +288,12 @@ Result<Msg> dec_error_indication(PerReader& r) {
   ErrorIndication m;
   auto pres = r.presence(2);
   if (!pres) return pres.error();
-  if ((*pres)[0]) {
+  if (*pres & 1) {
     auto id = dec_req_id(r);
     if (!id) return id.error();
     m.request = *id;
   }
-  if ((*pres)[1]) {
+  if (*pres & 2) {
     auto f = r.constrained(0, 4095);
     if (!f) return f.error();
     m.ran_function_id = static_cast<std::uint16_t>(*f);
@@ -396,8 +396,7 @@ Result<Msg> dec_node_config_update(PerReader& r) {
     if (!name) return name.error();
     auto cfg = r.octets();
     if (!cfg) return cfg.error();
-    m.components.emplace_back(std::move(*name),
-                              Buffer(cfg->begin(), cfg->end()));
+    m.components.emplace_back(std::move(*name), std::move(*cfg));
   }
   return Msg{std::move(m)};
 }
@@ -444,7 +443,7 @@ Result<Msg> dec_subscription_request(PerReader& r) {
   m.ran_function_id = static_cast<std::uint16_t>(*f);
   auto trig = r.octets();
   if (!trig) return trig.error();
-  m.event_trigger.assign(trig->begin(), trig->end());
+  m.event_trigger = std::move(*trig);
   auto n = r.length();
   if (!n) return n.error();
   if (*n > r.bits_remaining() / kMinActionBits)
@@ -601,14 +600,14 @@ Result<Msg> dec_indication(PerReader& r) {
   if (!pres) return pres.error();
   auto hdr = r.octets();
   if (!hdr) return hdr.error();
-  m.header.assign(hdr->begin(), hdr->end());
+  m.header = std::move(*hdr);
   auto msg = r.octets();
   if (!msg) return msg.error();
-  m.message.assign(msg->begin(), msg->end());
-  if ((*pres)[0]) {
+  m.message = std::move(*msg);
+  if (*pres & 1) {
     auto cpid = r.octets();
     if (!cpid) return cpid.error();
-    m.call_process_id = Buffer(cpid->begin(), cpid->end());
+    m.call_process_id = std::move(*cpid);
   }
   return Msg{std::move(m)};
 }
@@ -638,14 +637,14 @@ Result<Msg> dec_control_request(PerReader& r) {
   if (!pres) return pres.error();
   auto hdr = r.octets();
   if (!hdr) return hdr.error();
-  m.header.assign(hdr->begin(), hdr->end());
+  m.header = std::move(*hdr);
   auto msg = r.octets();
   if (!msg) return msg.error();
-  m.message.assign(msg->begin(), msg->end());
-  if ((*pres)[0]) {
+  m.message = std::move(*msg);
+  if (*pres & 1) {
     auto cpid = r.octets();
     if (!cpid) return cpid.error();
-    m.call_process_id = Buffer(cpid->begin(), cpid->end());
+    m.call_process_id = std::move(*cpid);
   }
   return Msg{std::move(m)};
 }
@@ -666,7 +665,7 @@ Result<Msg> dec_control_ack(PerReader& r) {
   m.ran_function_id = static_cast<std::uint16_t>(*f);
   auto out = r.octets();
   if (!out) return out.error();
-  m.outcome.assign(out->begin(), out->end());
+  m.outcome = std::move(*out);
   return Msg{std::move(m)};
 }
 
@@ -690,7 +689,7 @@ Result<Msg> dec_control_failure(PerReader& r) {
   m.cause = *c;
   auto out = r.octets();
   if (!out) return out.error();
-  m.outcome.assign(out->begin(), out->end());
+  m.outcome = std::move(*out);
   return Msg{std::move(m)};
 }
 

@@ -18,6 +18,7 @@
 // further operations are no-ops and the final Status reports the failure.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -280,16 +281,16 @@ class PerDec {
     v = static_cast<E>(b);
   }
   void str(std::string& v) { get(r_.str(), v); }
-  void bytes(Buffer& v) {
-    auto b = r_.octets();
-    if (check(b)) v.assign(b->begin(), b->end());
-  }
+  void bytes(Buffer& v) { get(r_.octets(), v); }
   template <typename T>
   void vec(std::vector<T>& v) {
     auto n = r_.length();
     if (!check(n)) return;
     v.clear();
-    v.reserve(*n);
+    // Cap the reservation by the payload left: a hostile count must not
+    // allocate ahead of the data (elements of all but bit-sized types cost
+    // at least one byte; shorter ones just grow the vector).
+    v.reserve(std::min(*n, r_.bits_remaining() / 8));
     for (std::size_t i = 0; i < *n && ok(); ++i) {
       T e{};
       field(e);

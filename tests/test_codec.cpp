@@ -135,7 +135,7 @@ TEST(Per, StringAndRealAndPresence) {
   EXPECT_DOUBLE_EQ(*r.real(), 2.71828);
   auto pres = r.presence(3);
   ASSERT_TRUE(pres.is_ok());
-  EXPECT_EQ(*pres, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(*pres, 0b101u);  // bit i is the i-th flag
 }
 
 TEST(Per, TruncatedInputFailsCleanly) {

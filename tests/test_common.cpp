@@ -1,7 +1,9 @@
 // Unit tests for src/common: buffers, bit I/O, results, metrics, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "common/bit_io.hpp"
 #include "common/buffer.hpp"
@@ -312,6 +314,164 @@ TEST_P(BitIoFuzz, RandomPatternsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitIoFuzz,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Bit-at-a-time reference model of BitWriter/BitReader: one std::vector<bool>
+// entry per bit, no words, no fast paths.
+struct RefWriter {
+  std::vector<bool> bits;
+  void put(std::uint64_t v, unsigned n) {
+    for (unsigned i = n; i-- > 0;) bits.push_back((v >> i) & 1);
+  }
+  void align() {
+    while (bits.size() % 8) bits.push_back(false);
+  }
+  Buffer take() {
+    align();
+    Buffer out(bits.size() / 8, 0);
+    for (std::size_t i = 0; i < bits.size(); ++i)
+      if (bits[i]) out[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+    return out;
+  }
+};
+
+struct RefReader {
+  const Buffer& data;
+  std::size_t pos = 0;
+  // Value or error code of bits(n); advances only on success.
+  Result<std::uint64_t> bits(unsigned n) {
+    if (n > 64) return Errc::out_of_range;
+    if (data.size() * 8 - pos < n) return Errc::truncated;
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < n; ++i, ++pos)
+      v = (v << 1) | ((data[pos / 8] >> (7 - pos % 8)) & 1);
+    return v;
+  }
+  Result<std::size_t> bytes(std::size_t n) {  // start offset on success
+    if (pos % 8) return Errc::malformed;
+    if (pos / 8 + n > data.size()) return Errc::truncated;
+    std::size_t start = pos / 8;
+    pos += 8 * n;
+    return start;
+  }
+};
+
+class BitIoReference : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BitIoReference, WriterMatchesBitAtATimeModel) {
+  Rng rng(GetParam());
+  for (unsigned lead = 0; lead < 64; ++lead) {  // every starting bit offset
+    BitWriter w;
+    RefWriter ref;
+    std::uint64_t lead_v = rng.next();
+    w.bits(lead_v, lead);
+    ref.put(lead_v & low_bits_mask(lead), lead);
+    for (int op = 0; op < 60; ++op) {
+      std::uint64_t v = rng.next();
+      unsigned n = static_cast<unsigned>(rng.bounded(65));  // 0..64
+      if (rng.chance(0.1)) {
+        w.align();
+        ref.align();
+      } else if (rng.chance(0.05) && w.aligned()) {
+        Buffer raw(rng.bounded(20), static_cast<std::uint8_t>(v));
+        ASSERT_TRUE(w.bytes(raw).is_ok());
+        for (std::uint8_t b : raw) ref.put(b, 8);
+      } else {
+        w.bits(v, n);
+        ref.put(v & low_bits_mask(n), n);
+      }
+      ASSERT_EQ(w.bit_size(), ref.bits.size());
+      ASSERT_EQ(w.aligned(), ref.bits.size() % 8 == 0);
+    }
+    ASSERT_EQ(w.take(), ref.take()) << "lead-in " << lead;
+  }
+}
+
+TEST_P(BitIoReference, ReaderMatchesBitAtATimeModel) {
+  Rng rng(GetParam());
+  // Short buffers keep most reads inside the last 8 bytes, where the 64-bit
+  // window cannot be loaded; long ones exercise the window.
+  for (std::size_t len : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 40u}) {
+    for (unsigned lead = 0; lead < 64; ++lead) {  // every starting bit offset
+      Buffer data(len);
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+      BitReader r(data);
+      RefReader ref{data};
+      const unsigned skip = std::min(lead, static_cast<unsigned>(len * 8));
+      auto a = r.bits(skip);
+      auto b = ref.bits(skip);
+      ASSERT_TRUE(a.is_ok() && b.is_ok());
+      ASSERT_EQ(*a, *b);
+      for (int op = 0; op < 40; ++op) {
+        std::uint64_t pick = rng.bounded(100);
+        if (pick < 5) {
+          r.align();
+          ref.pos = (ref.pos + 7) / 8 * 8;
+        } else if (pick < 12) {
+          std::size_t n = rng.bounded(12);
+          auto got = r.bytes(n);
+          auto want = ref.bytes(n);
+          ASSERT_EQ(got.is_ok(), want.is_ok());
+          if (got.is_ok())
+            ASSERT_EQ(got->data(), data.data() + *want);
+          else
+            ASSERT_EQ(got.error().code, want.error().code);
+        } else if (pick < 20) {
+          auto got = r.bit();
+          auto want = ref.bits(1);
+          ASSERT_EQ(got.is_ok(), want.is_ok());
+          if (got.is_ok())
+            ASSERT_EQ(*got, *want != 0);
+          else
+            ASSERT_EQ(got.error().code, want.error().code);
+        } else {
+          // Mostly legal widths, sometimes too wide.
+          unsigned n = static_cast<unsigned>(
+              pick < 95 ? rng.bounded(65) : 65 + rng.bounded(200));
+          auto got = r.bits(n);
+          auto want = ref.bits(n);
+          ASSERT_EQ(got.is_ok(), want.is_ok()) << "width " << n;
+          if (got.is_ok())
+            ASSERT_EQ(*got, *want) << "width " << n << " at bit " << ref.pos;
+          else
+            ASSERT_EQ(got.error().code, want.error().code) << "width " << n;
+        }
+        ASSERT_EQ(r.bits_remaining(), len * 8 - ref.pos);
+        ASSERT_EQ(r.aligned(), ref.pos % 8 == 0);
+      }
+    }
+  }
+}
+
+TEST(BitIo, ReadsEndingInTheLastEightBytes) {
+  // Every (offset, width) whose last bit lands in the final 8 bytes of a
+  // 24-byte buffer, plus the first width that runs one bit past the end.
+  Buffer data(24);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::uint8_t>(0xA5 ^ (i * 29));
+  for (std::size_t start = 64; start < data.size() * 8; ++start) {
+    for (unsigned n = 0; n <= 64; ++n) {
+      if (start + n <= 128) continue;
+      BitReader r(data);
+      RefReader ref{data};
+      for (std::size_t p = 0; p < start;) {
+        auto k = static_cast<unsigned>(std::min<std::size_t>(64, start - p));
+        ASSERT_TRUE(r.bits(k).is_ok());
+        p += k;
+      }
+      ref.pos = start;
+      auto got = r.bits(n);
+      auto want = ref.bits(n);
+      ASSERT_EQ(got.is_ok(), want.is_ok()) << start << "+" << n;
+      if (got.is_ok())
+        ASSERT_EQ(*got, *want) << start << "+" << n;
+      else
+        ASSERT_EQ(got.error().code, Errc::truncated) << start << "+" << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BitIoReference,
+                         ::testing::Values(1, 7, 42, 1234));
 
 // ---------------------------------------------------------------------------
 // Metrics
