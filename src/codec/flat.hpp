@@ -86,6 +86,8 @@ class FlatWriter {
 // @view_of(the encoded table buffer passed to FlatView::parse)
 class FlatView {
  public:
+  /// An empty table: every read fails.
+  FlatView() = default;
   /// Validates the header. On success the view spans exactly one table.
   static Result<FlatView> parse(BytesView wire);
 
@@ -141,7 +143,7 @@ class FlatView {
   }
 
   BytesView table_;         // fixed + var regions (excludes size prefix)
-  std::size_t fixed_size_;  // boundary between fixed and var region
+  std::size_t fixed_size_ = 0;  // boundary between fixed and var region
   std::size_t cursor_ = 0;  // next scalar/slot position in the fixed region
 };
 

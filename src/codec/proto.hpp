@@ -77,6 +77,9 @@ class ProtoReader {
   /// Next field, or Errc::not_found at clean end of input.
   Result<Field> next();
   [[nodiscard]] bool at_end() const noexcept { return r_.at_end(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return r_.remaining();
+  }
 
   /// Helpers to interpret a len field.
   static Result<double> as_f64(const Field& f);
