@@ -65,13 +65,17 @@ class StubFunction final : public agent::RanFunction {
 };
 
 struct World {
+  explicit World(WireFormat f = WireFormat::flat)
+      : format(f), server{reactor, {21, f}} {}
+
+  WireFormat format;
   Reactor reactor;
-  server::E2Server server{reactor, {21, WireFormat::flat}};
+  server::E2Server server;
 
   std::unique_ptr<agent::E2Agent> make_agent(
       e2ap::GlobalNodeId node, std::shared_ptr<StubFunction> fn) {
     auto ag = std::make_unique<agent::E2Agent>(
-        reactor, agent::E2Agent::Config{node, WireFormat::flat});
+        reactor, agent::E2Agent::Config{node, format});
     if (fn) EXPECT_TRUE(ag->register_function(std::move(fn)).is_ok());
     auto [a_side, s_side] = LocalTransport::make_pair(reactor);
     server.attach(s_side);
@@ -193,6 +197,34 @@ TEST(AgentServer, UnsubscribeStopsDelivery) {
   fn->emit(0, Buffer{1});
   pump(w.reactor, 20);
   EXPECT_EQ(got, 0);  // dropped: subscription gone at the server
+}
+
+// RAN function ids are 12-bit: 4096 is outside the range the procedure
+// declares, so the request fails to encode — an error in both wire formats,
+// not an abort — and the agent's existing subscription keeps delivering.
+TEST(AgentServer, OutOfRangeSubscriptionFailsToEncode) {
+  for (WireFormat f : {WireFormat::per, WireFormat::flat}) {
+    SCOPED_TRACE(wire_format_name(f));
+    World w(f);
+    auto fn = std::make_shared<StubFunction>(200);
+    auto agent = w.make_agent({1, 10, e2ap::NodeType::gnb}, fn);
+    pump_until(w.reactor, [&] { return w.server.ran_db().num_agents() == 1; });
+
+    int got = 0;
+    server::SubCallbacks cbs;
+    cbs.on_indication = [&](const e2ap::Indication&) { got++; };
+    const std::vector<e2ap::Action> actions{{1, e2ap::ActionType::report, {}}};
+    ASSERT_TRUE(w.server.subscribe(1, 200, {}, actions, cbs).is_ok());
+    ASSERT_TRUE(pump_until(w.reactor, [&] { return fn->subs == 1; }));
+
+    auto bad = w.server.subscribe(1, 4096, {}, actions, {});
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.error().code, Errc::out_of_range);
+
+    fn->emit(0, Buffer{7});
+    ASSERT_TRUE(pump_until(w.reactor, [&] { return got == 1; }));
+    EXPECT_EQ(fn->subs, 1);
+  }
 }
 
 TEST(AgentServer, SubscriptionToUnknownFunctionFails) {

@@ -40,11 +40,12 @@
 //                           (overload bounded/SPSC queues). Also validates
 //                           domain names and method-vs-class domain
 //                           conflicts.
-//   wire-taint              in src/e2ap/ + src/codec/, values read off the
-//                           wire (BufReader/PerReader scalar reads, length())
-//                           are tainted until range-validated; tainted use as
-//                           a loop bound, allocation size, index or
-//                           resize/reserve argument is an error.
+//   wire-taint              in src/e2ap/, src/codec/ and src/e2sm/ (where
+//                           both layers' decode archives live), values read
+//                           off the wire (BufReader/PerReader scalar reads,
+//                           length()) are tainted until range-validated;
+//                           tainted use as a loop bound, allocation size,
+//                           index or resize/reserve argument is an error.
 //   hotpath-alloc           `@hotpath` functions (and every method of a
 //                           `@hotpath` class, plus same-file callees) must
 //                           not allocate: new/malloc/make_unique, growing
