@@ -89,6 +89,47 @@ void BM_DoubleDecode(benchmark::State& state) {
   state.SetLabel(std::string(wire_format_name(fmt)) + "/double");
 }
 
+/// E2AP alone. Kind 0: an indication around a pre-encoded 32-UE payload;
+/// kind 1: a subscription request with four actions (lists + ranged ids).
+e2ap::Msg e2ap_msg(std::int64_t kind, WireFormat fmt) {
+  if (kind == 0) {
+    e2ap::Indication ind;
+    ind.request = {1, 1};
+    ind.ran_function_id = 142;
+    ind.header = Buffer(12, 0x5A);
+    ind.message = e2sm::sm_encode(stats_msg(32), fmt);
+    return ind;
+  }
+  e2ap::SubscriptionRequest req;
+  req.request = {1, 1};
+  req.ran_function_id = 142;
+  req.event_trigger = Buffer{0, 0, 0, 1};
+  for (std::uint8_t id = 1; id <= 4; ++id)
+    req.actions.push_back({id, e2ap::ActionType::report, Buffer(8, id)});
+  return req;
+}
+
+std::string e2ap_label(const benchmark::State& state, WireFormat fmt) {
+  return std::string(wire_format_name(fmt)) +
+         (state.range(1) == 0 ? "/indication" : "/subscription");
+}
+
+void BM_E2apEncode(benchmark::State& state) {
+  WireFormat fmt = fmt_of(state.range(0));
+  const e2ap::Codec& codec = e2ap::codec_for(fmt);
+  const e2ap::Msg msg = e2ap_msg(state.range(1), fmt);
+  for (auto _ : state) benchmark::DoNotOptimize(codec.encode(msg));
+  state.SetLabel(e2ap_label(state, fmt));
+}
+
+void BM_E2apDecode(benchmark::State& state) {
+  WireFormat fmt = fmt_of(state.range(0));
+  const e2ap::Codec& codec = e2ap::codec_for(fmt);
+  const Buffer wire = *codec.encode(e2ap_msg(state.range(1), fmt));
+  for (auto _ : state) benchmark::DoNotOptimize(codec.decode(wire));
+  state.SetLabel(e2ap_label(state, fmt));
+}
+
 void BM_WireSize(benchmark::State& state) {
   WireFormat fmt = fmt_of(state.range(0));
   auto msg = stats_msg(static_cast<int>(state.range(1)));
@@ -110,6 +151,9 @@ BENCHMARK(BM_SmEncode)->ArgsProduct({{0, 1, 2}, {1, 8, 32}});
 BENCHMARK(BM_SmDecode)->ArgsProduct({{0, 1, 2}, {1, 8, 32}});
 BENCHMARK(BM_DoubleEncode)->Args({0})->Args({1});
 BENCHMARK(BM_DoubleDecode)->Args({0})->Args({1});
+// E2AP alone: formats {ASN, FB} x {indication, subscription request}
+BENCHMARK(BM_E2apEncode)->ArgsProduct({{0, 1}, {0, 1}});
+BENCHMARK(BM_E2apDecode)->ArgsProduct({{0, 1}, {0, 1}});
 BENCHMARK(BM_WireSize)->ArgsProduct({{0, 1, 2}, {32}});
 
 namespace {

@@ -1,8 +1,14 @@
 // E2AP wire codec interface: IR <-> bytes.
 //
-// Two concrete codecs exist (PER and FLAT); the transport layer and all SDK
-// users only see this interface, so the encoding can be swapped per
+// Two concrete codecs exist (PER and FLAT), both instances of one class
+// template that runs the procedures' serde() declarations (messages.hpp)
+// through the matching archives of e2sm/serde.hpp. The transport layer and
+// all SDK users only see this interface, so the encoding can be swapped per
 // connection — the flexibility the paper evaluates in §5.2.
+//
+// encode() fails with Errc::out_of_range when an IR field is outside the
+// range its procedure declares (e.g. a RAN function id above 4095); decode()
+// fails on any frame the declarations do not describe.
 #pragma once
 
 #include <memory>
@@ -24,7 +30,7 @@ class Codec {
   /// Classify a wire image without a full decode. Both codecs lead with the
   /// message-type tag, so overload admission (DESIGN.md §11) can sort frames
   /// into CONTROL vs DATA in O(1) before spending decode cycles on a frame
-  /// that may be shed. Fails with Errc::malformed on an unknown tag.
+  /// that may be shed. Fails with Errc::out_of_range on an unknown tag.
   [[nodiscard]] virtual Result<MsgType> peek_type(BytesView wire) const = 0;
 };
 
