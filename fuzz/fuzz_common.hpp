@@ -22,8 +22,8 @@
 namespace flexric::fuzz {
 
 // ------------------------- random IR generation ----------------------------
-// Values stay inside the ranges both codecs can represent (the PER encoder
-// enforces its X.691 constraints with encode-side preconditions), so every
+// Values stay inside the ranges the procedures' serde() declarations give
+// (a value outside them fails encode() with Errc::out_of_range), so every
 // generated Msg must round-trip through either codec.
 
 inline Buffer rand_buf(Rng& rng, std::size_t max_len) {
