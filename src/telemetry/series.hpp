@@ -12,10 +12,20 @@
 // into the tier1 ring and merges into the open tier2 bucket. So by the time
 // the raw ring wraps, the overwritten window already lives in tier1, and by
 // the time tier1 wraps it lives in tier2 — old data degrades in resolution
-// instead of vanishing. Every ring is sized at construction and never
-// reallocates, which is what makes store-level memory accounting exact. A
-// bitmap of the open tier1 bucket's non-zero sketch buckets makes closing it
-// O(samples in it), not O(258 sketch buckets): 2-3 at a 40 ms report period.
+// instead of vanishing.
+//
+// Only the two open buckets hold a dense 258-bucket sketch. A closed rollup
+// is a 48 B slot (its header plus where its sketch sits) and its sketch's
+// non-zero buckets, kept as sorted (bucket, count) words in its tier's run
+// arena; one with more than kMaxRuns non-zero buckets keeps the dense counts
+// instead, so no rollup takes more than kDenseWords words. The arena is a
+// FIFO ring beside the slot ring: a close appends at the tail, a ring wrap
+// frees from the head. It starts empty and grows geometrically, in one
+// @coldpath function, up to capacity * kDenseWords words, so bytes() is
+// what the series has allocated and never exceeds bytes_per_series(). A
+// bitmap of each open bucket's non-zero sketch buckets makes a close
+// O(non-zero buckets), not O(258): 1-3 at a 40 ms report period.
+// rollup_range() expands the stored runs back into dense Rollups.
 //
 // Timestamps are expected non-decreasing (the indication stream is ordered
 // per agent). A late sample still lands in the raw ring and is folded into
@@ -24,6 +34,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -76,15 +87,38 @@ struct Rollup {
     if (min < dst.min) dst.min = min;
     if (max > dst.max) dst.max = max;
     sketch.move_into(dst.sketch, nonzero);
+    clear_header();
+  }
+  /// Sparse clear of all but t_start; `nonzero` as for move_into().
+  void clear(const QuantileSketch::BucketMask& nonzero) noexcept {
+    sketch.clear(nonzero);
+    clear_header();
+  }
+  [[nodiscard]] double mean() const noexcept {
+    return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  }
+
+ private:
+  void clear_header() noexcept {
     count = 0;
     sum = 0.0;
     min = std::numeric_limits<double>::infinity();
     max = -std::numeric_limits<double>::infinity();
   }
-  [[nodiscard]] double mean() const noexcept {
-    return count == 0 ? 0.0 : sum / static_cast<double>(count);
-  }
 };
+
+/// A closed rollup's ring slot: the Rollup header and the arena words that
+/// hold its sketch (series.hpp header comment).
+struct RollupSlot {
+  Nanos t_start = 0;
+  std::uint64_t count = 0;  ///< also the sketch's true count
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  std::uint32_t at = 0;     ///< first arena word; the run may wrap
+  std::uint16_t words = 0;  ///< run words, or kDenseWords for dense counts
+};
+static_assert(sizeof(RollupSlot) == 48);
 
 /// Ring capacities and rollup widths, shared by every series in a store.
 struct SeriesLayout {
@@ -94,19 +128,28 @@ struct SeriesLayout {
   Nanos tier1_width = 100 * kMilli;
   Nanos tier2_width = kSecond;
 
-  /// Exact bytes one series costs under this layout (ring payloads plus the
-  /// fixed TimeSeries object); the store multiplies this for its budget.
+  /// The most one series can cost under this layout: its object, raw ring
+  /// and slots, and full run arenas. The store admits series against it.
   [[nodiscard]] std::size_t bytes_per_series() const noexcept;
 };
 
 class TimeSeries {
  public:
+  /// Sketch buckets a closed rollup keeps as (bucket << 16 | count) runs;
+  /// past that it keeps all the counts, two per word.
+  static constexpr std::size_t kMaxRuns = 128;
+  static constexpr std::size_t kDenseWords = QuantileSketch::kBuckets / 2;
+  static_assert(QuantileSketch::kBuckets % 2 == 0 && kMaxRuns < kDenseWords);
+
   explicit TimeSeries(const SeriesLayout& layout);
 
-  /// Record one sample. Named push (not append): the raw ring and rollup
-  /// buckets are preallocated by the constructor — this never allocates,
-  /// which the hotpath-alloc pass can see from the name alone.
+  /// Record one sample. Allocates only when a close outgrows its tier's run
+  /// arena (grow_arena(), @coldpath): a few times per series, never past
+  /// bytes_per_series().
   void push(Nanos t, double v);
+
+  /// Bytes this series has allocated, including the object itself.
+  [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
 
   [[nodiscard]] std::uint64_t total_samples() const noexcept {
     return total_samples_;
@@ -132,15 +175,25 @@ class TimeSeries {
   [[nodiscard]] const SeriesLayout& layout() const noexcept { return layout_; }
 
  private:
-  struct RollupRing {
-    std::vector<Rollup> slots;
-    std::size_t head = 0;  ///< index of the oldest entry
-    std::size_t size = 0;
-    void push(const Rollup& r);
+  /// One tier's closed rollups: a slot ring and its FIFO run arena.
+  struct Tier {
+    std::unique_ptr<RollupSlot[]> slots;
+    std::unique_ptr<std::uint32_t[]> arena;
+    std::uint32_t cap = 0;   ///< slots
+    std::uint32_t head = 0;  ///< index of the oldest slot
+    std::uint32_t size = 0;
+    std::uint32_t arena_cap = 0;   ///< words
+    std::uint32_t arena_head = 0;  ///< first word of the oldest slot
+    std::uint32_t arena_used = 0;
   };
 
   void close_tier1();
   void close_tier2();
+  /// Store closed rollup `r` in `tier`, dropping the oldest when full.
+  void keep(Tier& tier, const Rollup& r,
+            const QuantileSketch::BucketMask& nonzero);
+  void grow_arena(Tier& tier, std::uint32_t words);
+  [[nodiscard]] static Rollup expand(const Tier& tier, const RollupSlot& s);
 
   // Everything push() touches first, so a sample costs few cache lines.
   SeriesLayout layout_;
@@ -150,13 +203,15 @@ class TimeSeries {
   std::size_t raw_size_ = 0;
   std::uint64_t total_samples_ = 0;
   Nanos last_t_ = 0;
+  std::size_t bytes_ = 0;
   bool open1_active_ = false;
   bool open2_active_ = false;
   QuantileSketch::BucketMask open1_nonzero_{};  ///< open1_'s sketch buckets
   Rollup open1_{};
 
-  RollupRing tier1_;
-  RollupRing tier2_;
+  Tier tier1_;
+  Tier tier2_;
+  QuantileSketch::BucketMask open2_nonzero_{};  ///< open2_'s sketch buckets
   Rollup open2_{};
 };
 

@@ -92,6 +92,7 @@ bool TelemetryStore::evict_one() {
   std::erase_if(row->second.slots,
                 [&](const Slot& s) { return s.series == lru_.begin(); });
   if (row->second.slots.empty()) rows_.erase(row);
+  series_bytes_ -= lru_.front().ts.bytes();
   lru_.pop_front();
   evictions_++;
   return true;
@@ -114,7 +115,7 @@ const TelemetryStore::Slot* TelemetryStore::ensure_series(RowKey key,
       return nullptr;
     }
   }
-  lru_.emplace_back(cfg_.layout, key);
+  series_bytes_ += lru_.emplace_back(cfg_.layout, key).ts.bytes();
   row = &rows_[key];
   return &row->slots.emplace_back(Slot{m, std::prev(lru_.end())});
 }
@@ -136,7 +137,10 @@ Status TelemetryStore::record_entity(AgentId agent, std::uint32_t entity,
       continue;
     }
     lru_.splice(lru_.end(), lru_, slot->series);  // now the newest write
-    slot->series->ts.push(t, sample.v);
+    TimeSeries& ts = slot->series->ts;
+    const std::size_t before = ts.bytes();
+    ts.push(t, sample.v);
+    series_bytes_ += ts.bytes() - before;  // non-zero when an arena grew
     total_samples_++;
   }
   return st;

@@ -9,13 +9,18 @@
 // memory budget. A hash row per (agent, entity) holds that entity's series,
 // so record_entity() writes a report's metrics with one lookup.
 //
-// Memory model: every series costs exactly
-// SeriesLayout::bytes_per_series() + kSeriesOverhead bytes (rings never
-// reallocate), so the accounted total is series_count * per_series_cost and
-// admission is a simple comparison. When creating a series would exceed the
-// budget the store either evicts the least-recently-written series
-// (evict_on_budget, the default — stale UEs/bearers age out) or rejects the
-// sample with Errc::capacity. Samples for existing series are never dropped.
+// Memory model: memory_bytes() is sizeof(store) plus, per series, the
+// kSeriesOverhead bound on its bookkeeping and the bytes() it actually
+// allocated, kept as a running total that a write adjusts when a run arena
+// grows. Admission does not depend on it: a new series is admitted when
+// (series + 1) * per_series_cost() fits the budget, where per_series_cost()
+// is the most one series can ever cost (SeriesLayout::bytes_per_series() +
+// kSeriesOverhead). So a series that grows is never evicted from a write,
+// and memory_bytes() never exceeds the budget. When creating a series would
+// exceed the budget the store either evicts the least-recently-written
+// series (evict_on_budget, the default — stale UEs/bearers age out) or
+// rejects the sample with Errc::capacity. Samples for existing series are
+// never dropped.
 //
 // All methods run on the reactor thread (single-threaded by the SDK's
 // contract); queries return copies, so the caller owns the result.
@@ -168,7 +173,7 @@ class TelemetryStore {
     return lru_.size();
   }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return sizeof(*this) + lru_.size() * per_series_cost_;
+    return sizeof(*this) + lru_.size() * kSeriesOverhead + series_bytes_;
   }
   [[nodiscard]] std::size_t memory_budget() const noexcept {
     return cfg_.memory_budget;
@@ -188,6 +193,10 @@ class TelemetryStore {
   /// newest `max_raw_per_series` raw samples) for post-mortems.
   [[nodiscard]] std::string dump_json(std::size_t max_raw_per_series = 16)
       const;
+
+  /// Per-series bookkeeping outside the TimeSeries: a one-series row's hash
+  /// node, bucket pointer and slot, plus the series' list links and row key.
+  static constexpr std::size_t kSeriesOverhead = 96;
 
  private:
   using RowKey = std::uint64_t;  ///< RowKey{agent} << 32 | entity
@@ -210,9 +219,6 @@ class TelemetryStore {
     }
   };
 
-  /// Per-series bookkeeping outside the rings: a one-series row's hash node,
-  /// bucket pointer and slot, plus the series' list links and row key.
-  static constexpr std::size_t kSeriesOverhead = 96;
   static_assert(4 * sizeof(void*) + sizeof(std::pair<const RowKey, Row>) +
                     sizeof(Slot) + sizeof(Series) - sizeof(TimeSeries) <=
                 kSeriesOverhead);
@@ -228,6 +234,7 @@ class TelemetryStore {
   /// calling thread (check_or_bind); mutable because const queries check it.
   mutable ReactorAffinity affinity_;
   std::size_t per_series_cost_ = 0;
+  std::size_t series_bytes_ = 0;  ///< sum of every series' bytes()
   std::unordered_map<RowKey, Row> rows_;
   std::list<Series> lru_;  ///< every series, least recently written first
   std::uint64_t evictions_ = 0;

@@ -1,5 +1,6 @@
 // Hot-path allocation fixture. Golden findings (expected.txt): growth,
-// owned-container construction, and make_unique inside a @hotpath span,
+// owned-container construction, and make_unique (also the _for_overwrite
+// form) inside a @hotpath span,
 // plus an allocation reached through same-file call propagation. The
 // @coldpath helper allocates freely and must stay silent.
 #include <memory>
@@ -17,8 +18,10 @@ inline void on_indication(std::vector<Sample>& sink, int v) {
   sink.push_back({v});
   std::string label(16, 'x');
   auto p = std::make_unique<Sample>();
+  auto raw = std::make_unique_for_overwrite<int[]>(8);
   (void)label;
   (void)p;
+  (void)raw;
 }
 
 inline void warm_helper(std::vector<int>& v) {

@@ -201,6 +201,10 @@ void expect_rollups_match_naive(const char* input,
       EXPECT_EQ(r.min, n.min);
       EXPECT_EQ(r.max, n.max);
       EXPECT_EQ(r.sketch.count(), n.count);
+      QuantileSketch recorded;
+      for (double v : n.values) recorded.record(v);
+      EXPECT_EQ(r.sketch, recorded)
+          << "every sketch bucket, tier " << tier << " t=" << r.t_start;
       for (double q : {0.5, 0.95, 0.99}) {
         // The overflow bucket reports kMaxValue (sketch.hpp).
         double exact =
@@ -213,26 +217,29 @@ void expect_rollups_match_naive(const char* input,
   }
 }
 
-TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
-  // 1 ms cadence: ~100 samples per tier1 bucket.
-  Rng rng(47);
+// 1 ms cadence: ~100 samples per tier1 bucket.
+std::vector<RawSample> dense_input(Rng& rng) {
   std::vector<RawSample> dense;
   for (int i = 1; i <= 5000; ++i)
     dense.push_back({i * kMilli, static_cast<double>(1 + rng.bounded(1000))});
-  expect_rollups_match_naive("1 ms", dense);
+  return dense;
+}
 
-  // 40 ms cadence: 2-3 samples per tier1 bucket, so each close merges and
-  // clears only a few sketch buckets.
+// 40 ms cadence: 2-3 samples per tier1 bucket, so each close merges and
+// clears only a few sketch buckets.
+std::vector<RawSample> sparse_input(Rng& rng) {
   std::vector<RawSample> sparse;
   for (int i = 1; i <= 2000; ++i)
     sparse.push_back(
         {i * 40 * kMilli, static_cast<double>(1 + rng.bounded(1000))});
-  expect_rollups_match_naive("40 ms", sparse);
+  return sparse;
+}
 
-  // Mixed: 100 ms bursts of 400 samples spread over 40 octaves, low-rate
-  // stretches with empty tier1 buckets, and late samples. The second half,
-  // after a gap no rollup spans, is scaled by 2^20: it reaches the top sketch
-  // buckets while every sum stays exact.
+// Mixed: 100 ms bursts of 400 samples spread over 40 octaves, low-rate
+// stretches with empty tier1 buckets, and late samples. The second half,
+// after a gap no rollup spans, is scaled by 2^20: it reaches the top sketch
+// buckets while every sum stays exact.
+std::vector<RawSample> mixed_input(Rng& rng) {
   std::vector<RawSample> mixed;
   Nanos t = 0;
   for (int round = 0; round < 12; ++round) {
@@ -253,6 +260,38 @@ TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
                          wide()});
     }
   }
+  return mixed;
+}
+
+// The three inputs above, drawn in this order from one generator.
+struct OracleInputs {
+  std::vector<RawSample> dense, sparse, mixed;
+};
+OracleInputs oracle_inputs() {
+  Rng rng(47);
+  OracleInputs in;
+  in.dense = dense_input(rng);
+  in.sparse = sparse_input(rng);
+  in.mixed = mixed_input(rng);
+  return in;
+}
+
+// 70,000 samples of 8.0 in one 100 ms bucket: one u16 sketch bucket
+// saturates at 65535 while the rollup counts all of them. The last sample
+// closes the bucket into a tier1 slot and the open tier2 bucket.
+std::vector<RawSample> saturated_input() {
+  std::vector<RawSample> in;
+  for (int i = 0; i < 70000; ++i) in.push_back({i * kMicro, 8.0});
+  in.push_back({100 * kMilli, 8.0});
+  return in;
+}
+
+TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
+  const OracleInputs in = oracle_inputs();
+  expect_rollups_match_naive("1 ms", in.dense);
+  expect_rollups_match_naive("40 ms", in.sparse);
+
+  const std::vector<RawSample>& mixed = in.mixed;
   std::size_t widest = 0;  // distinct sketch buckets in one tier1 bucket
   std::size_t top = 0;
   for (std::size_t i = 0; i < mixed.size();) {
@@ -269,6 +308,57 @@ TEST(TimeSeries, RollupsMatchNaiveRecomputation) {
   ASSERT_GT(widest, 100u);
   ASSERT_EQ(top, QuantileSketch::kBuckets - 1);  // the overflow bucket
   expect_rollups_match_naive("mixed", mixed);
+
+  expect_rollups_match_naive("saturated", saturated_input());
+}
+
+TEST(TimeSeries, CascadeKeepsTrueCountOfSaturatedBucket) {
+  TimeSeries series{SeriesLayout{}};
+  push_all(series, saturated_input());
+  std::vector<Rollup> t1 = series.rollup_range(1, 0, 100 * kMilli);
+  ASSERT_EQ(t1.size(), 1u);
+  EXPECT_EQ(t1[0].count, 70000u);
+  EXPECT_EQ(t1[0].sketch.count(), 70000u);
+  std::vector<Rollup> open2 = series.rollup_range(2, 0, kSecond);
+  ASSERT_EQ(open2.size(), 1u);
+  EXPECT_EQ(open2[0].count, 70000u);
+  EXPECT_EQ(open2[0].sketch.count(), 70000u);
+  // And once tier 2 closes too.
+  series.push(2 * kSecond, 8.0);
+  series.push(3 * kSecond, 8.0);
+  std::vector<Rollup> t2 = series.rollup_range(2, 0, kSecond);
+  ASSERT_EQ(t2.size(), 1u);
+  EXPECT_EQ(t2[0].count, 70001u);
+  EXPECT_EQ(t2[0].sketch.count(), 70001u);
+}
+
+// Memory: bytes() is what a series has allocated, bounded by the layout's
+// bytes_per_series() at every step, and far below it in steady state.
+TEST(TimeSeries, BytesNeverExceedLayoutBound) {
+  const std::vector<RawSample> mixed = oracle_inputs().mixed;
+  SeriesLayout layout;
+  TimeSeries series(layout);
+  std::size_t peak = 0;
+  for (const RawSample& s : mixed) {
+    series.push(s.t, s.v);
+    ASSERT_LE(series.bytes(), layout.bytes_per_series());
+    peak = std::max(peak, series.bytes());
+  }
+  // Closes grew the run arenas past a fresh series.
+  EXPECT_GT(peak, TimeSeries{layout}.bytes());
+}
+
+TEST(TimeSeries, ConstantSeriesStaysCompactThroughWraps) {
+  SeriesLayout layout;
+  TimeSeries series(layout);
+  // 10 full wraps of tier 2 (128 x 1 s), and so of tier 1, at 40 ms.
+  const Nanos end = 10 * static_cast<Nanos>(layout.tier2_capacity) * kSecond;
+  for (Nanos t = 0; t < end; t += 40 * kMilli) {
+    series.push(t, 5.0);
+    ASSERT_LE(series.bytes(), layout.bytes_per_series() / 5) << "t=" << t;
+  }
+  EXPECT_EQ(series.rollup_count(1), layout.tier1_capacity);
+  EXPECT_EQ(series.rollup_count(2), layout.tier2_capacity);
 }
 
 TEST(TimeSeries, RawRingWrapsButRollupsRetainHistory) {
@@ -355,6 +445,25 @@ TEST(Store, MemoryNeverExceedsBudget) {
   EXPECT_LE(store.num_series(), 4u);
   EXPECT_GT(store.evictions(), 0u);
   EXPECT_EQ(store.dropped_samples(), 0u);  // eviction admits every sample
+}
+
+TEST(Store, MemoryBytesIsExactSumOfSeries) {
+  TelemetryStore store(small_store(6));
+  Rng rng(5);
+  Nanos t = 0;
+  for (int i = 0; i < 20000; ++i) {
+    t += static_cast<Nanos>(rng.bounded(30'000)) * kMicro;
+    const double v = std::exp2(rng.uniform(-10.0, 60.0));
+    const auto rnti = static_cast<std::uint16_t>(rng.bounded(10));
+    static_cast<void>(store.record(key_of(1, rnti, Metric::mac_cqi), t, v));
+  }
+  ASSERT_GT(store.evictions(), 0u);
+  std::size_t expected = sizeof(TelemetryStore);
+  for (const SeriesInfo& info : store.list_series())
+    expected +=
+        store.find(info.key)->bytes() + TelemetryStore::kSeriesOverhead;
+  EXPECT_EQ(store.memory_bytes(), expected);
+  EXPECT_LE(store.memory_bytes(), store.memory_budget());
 }
 
 TEST(Store, EvictsLeastRecentlyWritten) {

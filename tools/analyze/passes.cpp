@@ -492,7 +492,9 @@ void pass_hotpath_alloc(const Corpus& corpus, const FileUnit& f,
         report(sp, t[i].line, "malloc-family", s_);
         continue;
       }
-      if (calls && (s_ == "make_unique" || s_ == "make_shared")) {
+      if (calls && (s_ == "make_unique" || s_ == "make_shared" ||
+                    s_ == "make_unique_for_overwrite" ||
+                    s_ == "make_shared_for_overwrite")) {
         report(sp, t[i].line, "make-smart-ptr", s_);
         continue;
       }

@@ -48,8 +48,9 @@
 //                           index or resize/reserve argument is an error.
 //   hotpath-alloc           `@hotpath` functions (and every method of a
 //                           `@hotpath` class, plus same-file callees) must
-//                           not allocate: new/malloc/make_unique, growing
-//                           container calls, or owned-container construction.
+//                           not allocate: new/malloc/make_unique (also
+//                           _for_overwrite), growing container calls, or
+//                           owned-container construction.
 //                           Existing debt is enumerated per function in
 //                           tools/analyze/hotpath_baseline.txt; the gate
 //                           fails only on regressions.
