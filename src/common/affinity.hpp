@@ -25,7 +25,8 @@
 //
 // This header is the one sanctioned use of thread primitives outside
 // src/transport/: detecting a cross-thread call requires asking which thread
-// we are on. tools/lint.py carries an explicit carve-out for this file.
+// we are on. flexric-analyze's thread-primitives rule carries an explicit
+// carve-out for this file (kThreadOkFiles).
 #pragma once
 
 #include <atomic>

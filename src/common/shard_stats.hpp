@@ -2,7 +2,7 @@
 //
 // Each shard owns one 64-byte-aligned slot of atomics and is the only
 // writer of that slot; any thread may read and sum. A per-slot seqlock
-// keeps the 13-field ledger image untorn across fields (the write side is
+// keeps the 12-field ledger image untorn across fields (the write side is
 // wait-free, the read side retries only while a publish is in flight). This
 // is the merge-on-query half of the sharded stats story: shards publish their
 // E2Server ledger into their slot from their own reactor thread (a timer in
@@ -21,10 +21,10 @@
 // subscription — a bounded ring or a restarted shard sheds with a counted
 // reason, never silently, same rule as BoundedQueue).
 //
-// Sanctioned use of <atomic> outside src/transport/ (tools/lint.py
-// THREAD_OK_FILES): publishing counters across shard threads is impossible
-// without atomics; keeping them in this one header keeps the rest of the
-// SDK atomic-free.
+// Sanctioned use of <atomic> outside src/transport/ (flexric-analyze's
+// thread-primitives rule, kThreadOkFiles): publishing counters across shard
+// threads is impossible without atomics; keeping them in this one header
+// keeps the rest of the SDK atomic-free.
 #pragma once
 
 #include <atomic>
@@ -47,8 +47,6 @@ struct ShardLedger {
   std::uint64_t reply_shed = 0;      ///< northbound reply ring overflow
   std::uint64_t dir_events_lost = 0; ///< directory event ring overflow (triggers resync)
   std::uint64_t orphan_indications = 0;  ///< no matching subscription (counted drop)
-  std::uint64_t frames = 0;          ///< frames dispatched (throughput axis)
-  std::uint64_t cpu_ns = 0;          ///< shard-thread CPU burned (bench)
 
   [[nodiscard]] std::uint64_t server_shed() const noexcept {
     return rate_shed + flood_shed + queue_shed + fanout_shed +
@@ -70,8 +68,6 @@ struct ShardLedger {
     reply_shed += v.reply_shed;
     dir_events_lost += v.dir_events_lost;
     orphan_indications += v.orphan_indications;
-    frames += v.frames;
-    cpu_ns += v.cpu_ns;
   }
 };
 
@@ -160,8 +156,6 @@ class ShardCounterBoard {
     std::atomic<std::uint64_t> reply_shed{0};
     std::atomic<std::uint64_t> dir_events_lost{0};
     std::atomic<std::uint64_t> orphan_indications{0};
-    std::atomic<std::uint64_t> frames{0};
-    std::atomic<std::uint64_t> cpu_ns{0};
   };
 
   explicit ShardCounterBoard(std::uint32_t shards)
@@ -205,8 +199,6 @@ class ShardCounterBoard {
     s.dir_events_lost.store(v.dir_events_lost, std::memory_order_relaxed);
     s.orphan_indications.store(v.orphan_indications,
                                std::memory_order_relaxed);
-    s.frames.store(v.frames, std::memory_order_relaxed);
-    s.cpu_ns.store(v.cpu_ns, std::memory_order_relaxed);
     s.seq.store(s0 + 2, std::memory_order_release);
   }
 
@@ -232,8 +224,6 @@ class ShardCounterBoard {
       v.dir_events_lost = s.dir_events_lost.load(std::memory_order_relaxed);
       v.orphan_indications =
           s.orphan_indications.load(std::memory_order_relaxed);
-      v.frames = s.frames.load(std::memory_order_relaxed);
-      v.cpu_ns = s.cpu_ns.load(std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) == s1) return v;
     }

@@ -20,7 +20,8 @@
 //    runtime guards in ShardPool keep each end on its own thread.
 //
 // This header is one of the sanctioned uses of <atomic> outside
-// src/transport/ (tools/lint.py THREAD_OK_FILES): a cross-thread conduit
+// src/transport/ (flexric-analyze's thread-primitives rule, kThreadOkFiles):
+// a cross-thread conduit
 // cannot exist without the two index atomics, and confining it here keeps
 // the rest of src/ lock- and atomic-free.
 #pragma once

@@ -30,7 +30,7 @@ void SupervisionRest::handle_shards(const HttpRequest&,
     o["beat_age_ms"] = sup.last_age(i) / kMilli;
     o["accepting"] = ric_.accepting(i);
     o["restarts"] = static_cast<std::uint64_t>(sup.restarts_of(i));
-    o["retired_frames"] = ric_.retired_ledger(i).frames;
+    o["retired_frames"] = ric_.retired_ledger(i).dispatched;
     shards.emplace_back(std::move(o));
   }
   JsonObject top;

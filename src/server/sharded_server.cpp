@@ -94,7 +94,6 @@ class ShardedE2Server::Relay final : public IApp {
     v.reply_shed = reply_shed_;
     v.dir_events_lost = events_lost_;
     v.orphan_indications = st.orphan_indications;
-    v.frames = st.dispatched;
     return v;
   }
 

@@ -1,10 +1,26 @@
 // Fixture for the suppression syntax: a `lint: allow(<rule>) <reason>` on the
 // finding line or the line above silences it. Expected findings: none.
+// lint: allow(include-hygiene) fixture: a legacy include outside the roots
+#include "../legacy/compat.hpp"
+#include <atomic>  // lint: allow(thread-primitives) fixture: directive line
+
 namespace fixture {
 
 void legacy_poll() {
   // lint: allow(blocking-in-handler) fixture: documents the suppression syntax
   ::usleep(100);
 }
+
+struct Res {
+  bool is_ok() const { return true; }
+  int value() const { return 1; }
+};
+
+int checked_elsewhere(const Res& r) {
+  return r.value();  // lint: allow(unchecked-result) fixture: same-line form
+}
+
+// lint: allow(thread-primitives) fixture: single word, no ordering needs
+std::atomic<int> g_level{0};
 
 }  // namespace fixture

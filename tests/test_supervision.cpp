@@ -58,17 +58,18 @@ TEST(HealthBoard, BeatReadReset) {
 TEST(CounterBoard, StaleEpochPublishIsDropped) {
   ShardCounterBoard board(1);
   ShardLedger v;
-  v.frames = 7;
+  v.dispatched = 7;
   const std::uint64_t old_epoch = board.epoch_of(0);
   board.publish(0, v, old_epoch);
-  EXPECT_EQ(board.read(0).frames, 7u);
+  EXPECT_EQ(board.read(0).dispatched, 7u);
   board.bump_epoch(0);
-  v.frames = 99;
+  v.dispatched = 99;
   board.publish(0, v, old_epoch);  // corpse incarnation
-  EXPECT_EQ(board.read(0).frames, 7u) << "stale-epoch publish must be dropped";
-  v.frames = 11;
+  EXPECT_EQ(board.read(0).dispatched, 7u)
+      << "stale-epoch publish must be dropped";
+  v.dispatched = 11;
   board.publish(0, v, board.epoch_of(0));  // replacement
-  EXPECT_EQ(board.read(0).frames, 11u);
+  EXPECT_EQ(board.read(0).dispatched, 11u);
 }
 
 // ---------------------------------------------------------------------------

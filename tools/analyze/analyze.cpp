@@ -1,11 +1,12 @@
 // flexric-analyze: multi-pass static analyzer for the FlexRIC SDK.
 //
 // Dependency-free (stdlib only) so it builds everywhere the SDK builds and
-// can run as a CTest gate next to `lint`. See rules.hpp for the rule set and
-// DESIGN.md §10/§12 for the model.
+// can run as a CTest gate. It is the repo's one static analyzer: see
+// rules.hpp for the rule set and DESIGN.md §7/§10/§12 for the model.
 //
 // Usage:
-//   flexric-analyze --root <repo>          scan src/ bench/ examples/ tests/
+//   flexric-analyze --root <repo>          scan src/ fuzz/ bench/ examples/
+//                                          tests/
 //   flexric-analyze --root <repo> --rule R run only rule R (repeatable)
 //   flexric-analyze --root <repo> --list   print every suppression + reason
 //   flexric-analyze --fix-suggestions ...  append a suggested fix per finding
@@ -21,9 +22,9 @@
 //                                          "src"; the analyzer dogfoods its
 //                                          own discipline (zero findings)
 //
-// A full run (no --rule filter) also audits suppressions: every
-// `lint: allow(...)` naming an analyzer rule must carry a reason and must
-// actually silence a finding (stale suppressions fail the gate).
+// A full run (no --rule filter) of any mode also audits suppressions: every
+// `lint: allow(...)` must name a known rule, carry a reason and actually
+// silence a finding (stale suppressions fail the gate).
 //
 // Exit codes: 0 clean, 1 findings (or fixture mismatch), 2 usage/IO error.
 
@@ -87,6 +88,24 @@ void load_dir(Corpus& corpus, const fs::path& root, const std::string& top,
   }
 }
 
+/// Run the selected rules; a full run (`all_rules`) adds the suppression
+/// audit. Findings come back sorted by (file, line, rule).
+std::vector<Finding> scan(const Corpus& corpus,
+                          const std::set<std::string>& rules, bool all_rules) {
+  std::set<std::string> used;
+  set_suppression_tracker(&used);
+  auto findings = run_rules(corpus, rules);
+  set_suppression_tracker(nullptr);
+  if (all_rules) audit_suppressions(corpus, used, &findings);
+  std::sort(findings.begin(), findings.end(),
+            [](const Finding& a, const Finding& b) {
+              if (a.file != b.file) return a.file < b.file;
+              if (a.line != b.line) return a.line < b.line;
+              return a.rule < b.rule;
+            });
+  return findings;
+}
+
 std::string render(const Finding& f, bool with_suggestion) {
   std::string s =
       f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " + f.message;
@@ -137,7 +156,8 @@ void print_json(const std::vector<Finding>& findings,
   std::printf("\n  ],\n  \"count\": %zu\n}\n", findings.size());
 }
 
-int run_fixtures(const fs::path& dir, const std::set<std::string>& rules) {
+int run_fixtures(const fs::path& dir, const std::set<std::string>& rules,
+                 bool all_rules) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     std::fprintf(stderr, "flexric-analyze: no such fixture dir: %s\n",
@@ -165,7 +185,8 @@ int run_fixtures(const fs::path& dir, const std::set<std::string>& rules) {
   }
   build_registry(corpus);
   std::vector<std::string> got;
-  for (const auto& f : run_rules(corpus, rules)) got.push_back(render(f, false));
+  for (const auto& f : scan(corpus, rules, all_rules))
+    got.push_back(render(f, false));
 
   std::vector<std::string> want;
   std::ifstream exp(dir / "expected.txt");
@@ -213,7 +234,9 @@ namespace {
 
 /// Dogfood mode: run the full rule set over a flat directory (the analyzer's
 /// own sources) as category "src". No baseline, no fixtures — clean or fail.
-int run_self(const fs::path& dir, const std::set<std::string>& rules) {
+/// The directory is its own include root.
+int run_self(const fs::path& dir, const std::set<std::string>& rules,
+             bool all_rules) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
     std::fprintf(stderr, "flexric-analyze: no such dir: %s\n",
@@ -236,8 +259,9 @@ int run_self(const fs::path& dir, const std::set<std::string>& rules) {
     f.lx = lex(slurp(p));
     corpus.files.push_back(std::move(f));
   }
+  corpus.include_roots["src"] = {""};
   build_registry(corpus);
-  auto findings = run_rules(corpus, rules);
+  auto findings = scan(corpus, rules, all_rules);
   for (const auto& f : findings)
     std::printf("%s\n", render(f, true).c_str());
   if (findings.empty()) {
@@ -318,8 +342,8 @@ int main(int argc, char** argv) {
   if (rules.empty())
     for (const char* k : kAllRules) rules.insert(k);
 
-  if (!fixtures.empty()) return run_fixtures(fixtures, rules);
-  if (!self_dir.empty()) return run_self(self_dir, rules);
+  if (!fixtures.empty()) return run_fixtures(fixtures, rules, all_rules);
+  if (!self_dir.empty()) return run_self(self_dir, rules, all_rules);
 
   if (root.empty()) {
     std::fprintf(stderr,
@@ -335,6 +359,7 @@ int main(int argc, char** argv) {
 
   Corpus corpus;
   load_dir(corpus, root, "src", "src");
+  load_dir(corpus, root, "fuzz", "fuzz");
   load_dir(corpus, root, "bench", "bench");
   load_dir(corpus, root, "examples", "examples");
   load_dir(corpus, root, "tests", "tests");
@@ -357,11 +382,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::set<std::string> used;
-  set_suppression_tracker(&used);
-  auto findings = run_rules(corpus, rules);
-  set_suppression_tracker(nullptr);
-
+  auto findings = scan(corpus, rules, all_rules);
   std::vector<std::string> notes;
 
   // Hot-path allocation debt baseline: findings carrying a group key are
@@ -426,40 +447,6 @@ int main(int argc, char** argv) {
                 current.size(), current.size() == 1 ? "y" : "ies",
                 write_baseline_path.string().c_str());
     return 0;
-  }
-
-  // Suppression audit (full runs only: with a --rule filter, allows for the
-  // unselected rules would look stale). Every allow() naming an analyzer
-  // rule must carry a reason and must have silenced at least one finding.
-  if (all_rules) {
-    std::set<std::string> analyzer_rules(std::begin(kAllRules),
-                                         std::end(kAllRules));
-    for (const auto& s : collect_suppressions(corpus)) {
-      if (analyzer_rules.count(s.rule) == 0) continue;  // lint.py's business
-      Finding fd;
-      fd.file = s.file;
-      fd.line = s.line;
-      fd.rule = "suppression-audit";
-      if (s.reason.empty()) {
-        fd.message = "suppression allow(" + s.rule + ") has no reason; "
-                     "reasons are mandatory";
-        fd.suggestion = "append why: `// lint: allow(" + s.rule + ") <why>`";
-        findings.push_back(fd);
-      }
-      if (used.count(s.file + ":" + std::to_string(s.line) + ":" + s.rule) ==
-          0) {
-        fd.message = "stale suppression: allow(" + s.rule + ") no longer "
-                     "silences any finding";
-        fd.suggestion = "delete the stale `lint: allow(...)` comment";
-        findings.push_back(std::move(fd));
-      }
-    }
-    std::sort(findings.begin(), findings.end(),
-              [](const Finding& a, const Finding& b) {
-                if (a.file != b.file) return a.file < b.file;
-                if (a.line != b.line) return a.line < b.line;
-                return a.rule < b.rule;
-              });
   }
 
   if (json) {

@@ -1,5 +1,7 @@
 #include "index.hpp"
 
+#include <cctype>
+
 namespace flexric::analyze {
 
 namespace {
@@ -343,14 +345,28 @@ bool is_known_domain(const std::string& d) {
   return d == "reactor" || d == "shard" || d == "any";
 }
 
+bool in_wire_dir(const std::string& rel) {
+  return rel.starts_with("src/codec/") || rel.starts_with("src/e2ap/") ||
+         rel.starts_with("src/e2sm/");
+}
+
 void parse_allows(const std::string& comment, int line, const std::string& file,
                   std::vector<Suppression>* out) {
   const std::string needle = "lint: allow(";
   std::size_t pos = 0;
   while ((pos = comment.find(needle, pos)) != std::string::npos) {
     std::size_t name_at = pos + needle.size();
-    std::size_t close = comment.find(')', name_at);
-    if (close == std::string::npos) break;
+    // A rule name is [A-Za-z0-9_-]+: prose such as `allow(<rule>)` is not
+    // a suppression, while a misspelled name is one (and the audit flags it).
+    std::size_t close = name_at;
+    while (close < comment.size() &&
+           (std::isalnum(static_cast<unsigned char>(comment[close])) ||
+            comment[close] == '-' || comment[close] == '_'))
+      ++close;
+    if (close == name_at || close >= comment.size() || comment[close] != ')') {
+      pos = name_at;
+      continue;
+    }
     Suppression s;
     s.file = file;
     s.line = line;

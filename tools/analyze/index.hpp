@@ -180,6 +180,10 @@ std::string annotation_arg_near(const LexedFile& lx, int line,
 /// The valid affinity domains.
 bool is_known_domain(const std::string& d);
 
+/// Decoder territory (src/codec/, src/e2ap/, src/e2sm/): bytes handled here
+/// come straight off the wire (wire-taint, wire-assert).
+bool in_wire_dir(const std::string& rel);
+
 // ---------------------------------------------------------------------------
 // Suppressions.
 // ---------------------------------------------------------------------------

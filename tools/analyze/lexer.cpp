@@ -126,7 +126,9 @@ LexedFile lex(std::string_view raw_src) {
       continue;
     }
     // Preprocessor directive: consume the logical line (splices are already
-    // joined, so this is a plain scan to newline). Invisible to the rules.
+    // joined, so this is a plain scan to newline) into the directive table.
+    // A trailing line comment is left to the comment lexer: a same-line
+    // `lint: allow(...)` on an #include must be seen.
     if (c == '#') {
       bool bol = true;  // only a line-leading # starts a directive
       for (std::size_t j = i; j-- > 0;) {
@@ -137,7 +139,15 @@ LexedFile lex(std::string_view raw_src) {
         }
       }
       if (bol) {
-        while (i < n && src[i] != '\n') ++i;
+        std::size_t start = i;
+        while (i < n && src[i] != '\n' &&
+               !(src[i] == '/' && i + 1 < n && src[i + 1] == '/'))
+          ++i;
+        std::size_t end = i;
+        while (end > start &&
+               std::isspace(static_cast<unsigned char>(src[end - 1])))
+          --end;
+        out.directives[line] = src.substr(start, end - start);
         continue;
       }
       out.tokens.push_back({Tok::punct, "#", line});

@@ -5,7 +5,9 @@
 // consumed as units, so a `post(` inside a string or a brace inside a comment
 // can never confuse the rules. Comment text is kept in a per-line side table
 // because two rule mechanisms live in comments: `lint: allow(<rule>) reason`
-// suppressions and `@affine(reactor)` class annotations.
+// suppressions and `@affine(reactor)` class annotations. Directive text gets a
+// side table of its own, so the include rules can read `#include` lines
+// without directives ever reaching the token stream.
 #pragma once
 
 #include <map>
@@ -35,6 +37,9 @@ struct LexedFile {
   /// line -> concatenated comment text on that line (block comments that
   /// span lines contribute to every line they touch).
   std::map<int, std::string> comments;
+  /// line of the `#` -> directive text (splices joined, trailing comment
+  /// excluded: it lands in `comments` like any other comment).
+  std::map<int, std::string> directives;
 };
 
 /// Tokenize one translation unit. Never fails: unrecognized bytes become

@@ -226,9 +226,7 @@ void pass_wire_taint(const Corpus& corpus, const FileUnit& f,
                      const FileIndex& ix, std::vector<Finding>* out) {
   // Only decoder territory: values here come straight off the wire. E2AP
   // and E2SM decoding both run through the archives in src/e2sm/.
-  if (f.rel.rfind("src/e2ap/", 0) != 0 && f.rel.rfind("src/codec/", 0) != 0 &&
-      f.rel.rfind("src/e2sm/", 0) != 0)
-    return;
+  if (!in_wire_dir(f.rel)) return;
   const Tokens& t = f.lx.tokens;
 
   auto report = [&](int line, const std::string& name, const std::string& use) {

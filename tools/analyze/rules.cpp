@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <utility>
 
 namespace flexric::analyze {
 
@@ -581,11 +582,181 @@ void rule_bounded_queue(const FileUnit& f, const ScopeInfo& scopes,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Repository invariants: unchecked-result, wire-assert, include-hygiene,
+// thread-primitives. These are line rules — one finding per offending line.
+// ---------------------------------------------------------------------------
+
+void report_lines(const FileUnit& f, const std::set<int>& lines,
+                  const char* rule, const std::string& message,
+                  const std::string& suggestion, std::vector<Finding>* out) {
+  for (int line : lines) {
+    if (suppressed(f, line, rule)) continue;
+    out->push_back({f.rel, line, rule, message, suggestion, ""});
+  }
+}
+
+void rule_unchecked_result(const FileUnit& f, std::vector<Finding>* out) {
+  const Tokens& t = f.lx.tokens;
+  std::set<int> lines;
+  for (std::size_t i = 1; i + 2 < t.size(); ++i)
+    if (is_punct(t[i - 1], ".") && is_ident(t[i], "value") &&
+        is_punct(t[i + 1], "(") && is_punct(t[i + 2], ")"))
+      lines.insert(t[i].line);
+  report_lines(f, lines, "unchecked-result",
+               ".value() aborts on the error arm; branch on is_ok() and use "
+               "operator*/error() instead",
+               "test is_ok() first and read the value with operator*", out);
+}
+
+void rule_wire_assert(const FileUnit& f, std::vector<Finding>* out) {
+  if (!in_wire_dir(f.rel)) return;
+  const Tokens& t = f.lx.tokens;
+  std::set<int> lines;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i)
+    if ((is_ident(t[i], "assert") || is_ident(t[i], "FLEXRIC_ASSERT")) &&
+        is_punct(t[i + 1], "("))
+      lines.insert(t[i].line);
+  report_lines(f, lines, "wire-assert",
+               "assert in the decode path can abort on malformed wire input; "
+               "return a Result/Status error instead",
+               "return an error, or suppress an encode-side precondition on "
+               "locally built IR with `// lint: allow(wire-assert) <why>`",
+               out);
+}
+
+/// The target of an `#include "x"` / `#include <x>` directive with its
+/// opening delimiter ('"' or '<'); delimiter 0 for any other directive.
+std::pair<char, std::string> include_of(const std::string& directive) {
+  std::size_t i = directive.find_first_not_of(" \t", 1);  // past the '#'
+  if (i == std::string::npos || directive.compare(i, 7, "include") != 0)
+    return {0, ""};
+  i = directive.find_first_not_of(" \t", i + 7);
+  if (i == std::string::npos || (directive[i] != '"' && directive[i] != '<'))
+    return {0, ""};
+  std::size_t end = directive.find(directive[i] == '"' ? '"' : '>', i + 1);
+  if (end == std::string::npos) return {0, ""};
+  return {directive[i], directive.substr(i + 1, end - i - 1)};
+}
+
+std::string under(const std::string& root, const std::string& path) {
+  return root.empty() ? path : root + "/" + path;
+}
+
+void rule_include_hygiene(const Corpus& corpus, const FileUnit& f,
+                          std::vector<Finding>* out) {
+  auto roots_it = corpus.include_roots.find(f.category);
+  if (roots_it == corpus.include_roots.end()) return;
+  const std::vector<std::string>& roots = roots_it->second;
+  std::string root_list;
+  for (const auto& r : roots)
+    root_list += (root_list.empty() ? "" : " or ") + (r.empty() ? "." : r) +
+                 "/";
+  // A .cpp's sibling header, spelled from the first root that holds it.
+  std::string sibling, spelled;
+  const std::string h = f.rel.ends_with(".cpp")
+                            ? f.rel.substr(0, f.rel.size() - 4) + ".hpp"
+                            : "";
+  if (corpus.file_set.count(h) != 0) {
+    for (const auto& r : roots) {
+      if (r.empty() || h.starts_with(r + "/")) {
+        sibling = h;
+        spelled = h.substr(r.empty() ? 0 : r.size() + 1);
+        break;
+      }
+    }
+  }
+  auto report = [&](int line, std::string message) {
+    if (suppressed(f, line, "include-hygiene")) return;
+    out->push_back({f.rel, line, "include-hygiene", std::move(message),
+                    "spell quoted includes from " + root_list +
+                        "; a .cpp includes its own header first",
+                    ""});
+  };
+  bool first = true;
+  for (const auto& [line, text] : f.lx.directives) {
+    auto [delim, inc] = include_of(text);
+    if (delim != '"') continue;
+    bool resolves = false, is_sibling = false;
+    for (const auto& r : roots) {
+      resolves = resolves || corpus.file_set.count(under(r, inc)) != 0;
+      is_sibling = is_sibling || under(r, inc) == sibling;
+    }
+    if (first && !sibling.empty() && !is_sibling)
+      report(line, "first quoted include must be the sibling header \"" +
+                       spelled + "\" (self-containment check)");
+    first = false;
+    if (("/" + inc + "/").find("/../") != std::string::npos)
+      report(line,
+             "include \"" + inc + "\" escapes the source tree with \"..\"");
+    else if (!resolves)
+      report(line,
+             "include \"" + inc + "\" does not resolve under " + root_list);
+  }
+}
+
+// The affinity guard asks which thread it runs on; the SPSC ring and the
+// per-shard counter board are the sharded RIC's audited cross-shard conduits
+// (DESIGN.md §13). Nothing else in src/ outside src/transport/ may touch a
+// threading primitive.
+constexpr const char* kThreadOkFiles[] = {"src/common/affinity.hpp",
+                                          "src/common/spsc_ring.hpp",
+                                          "src/common/shard_stats.hpp"};
+
+bool is_thread_header(const std::string& directive) {
+  static const char* kHeaders[] = {"thread", "mutex", "shared_mutex",
+                                   "condition_variable", "atomic", "future",
+                                   "stop_token", "semaphore", "latch",
+                                   "barrier"};
+  auto [delim, header] = include_of(directive);
+  if (delim != '<') return false;
+  for (const char* k : kHeaders)
+    if (header == k) return true;
+  return false;
+}
+
+bool is_thread_primitive(const Tokens& t, std::size_t i) {
+  static const char* kStd[] = {
+      "jthread",      "thread",      "mutex",       "timed_mutex",
+      "recursive_mutex", "shared_mutex", "atomic",  "async",
+      "future",       "promise",     "counting_semaphore",
+      "latch",        "barrier",     "lock_guard",  "unique_lock",
+      "shared_lock",  "scoped_lock"};
+  if (t[i].kind != Tok::identifier) return false;
+  const std::string& s = t[i].text;
+  if (s.starts_with("pthread_") && s.size() > 8) return true;
+  if (i < 2 || !is_ident(t[i - 2], "std") || !is_punct(t[i - 1], "::"))
+    return false;
+  if (s.starts_with("condition_variable")) return true;
+  for (const char* k : kStd)
+    if (s == k) return true;
+  return false;
+}
+
+void rule_thread_primitives(const FileUnit& f, std::vector<Finding>* out) {
+  if (f.category != "src" || f.rel.starts_with("src/transport/")) return;
+  for (const char* ok : kThreadOkFiles)
+    if (f.rel == ok) return;
+  std::set<int> lines;
+  for (const auto& [line, text] : f.lx.directives)
+    if (is_thread_header(text)) lines.insert(line);
+  const Tokens& t = f.lx.tokens;
+  for (std::size_t i = 0; i < t.size(); ++i)
+    if (is_thread_primitive(t, i)) lines.insert(t[i].line);
+  report_lines(f, lines, "thread-primitives",
+               "threading primitive outside src/transport/ violates the "
+               "single-threaded reactor contract",
+               "keep the state on the reactor thread; cross-shard data goes "
+               "through SpscRing or the shard counter board",
+               out);
+}
+
 }  // namespace
 
 void build_registry(Corpus& corpus) {
   corpus.index.clear();
   corpus.index.reserve(corpus.files.size());
+  for (const auto& f : corpus.files) corpus.file_set.insert(f.rel);
   for (const auto& f : corpus.files) corpus.index.push_back(build_file_index(f.lx));
   std::set<std::string> other_ret;
   for (std::size_t i = 0; i < corpus.files.size(); ++i)
@@ -633,12 +804,14 @@ std::vector<Finding> run_rules(const Corpus& corpus,
       pass_view_escape(corpus, f, ix, &out);
     if (rules.count("atomics-order") && f.category == "src")
       pass_atomics_order(corpus, f, ix, &out);
+    if (rules.count("unchecked-result") && (impl_cat || f.category == "fuzz"))
+      rule_unchecked_result(f, &out);
+    if (rules.count("wire-assert") && f.category == "src")
+      rule_wire_assert(f, &out);
+    if (rules.count("include-hygiene"))
+      rule_include_hygiene(corpus, f, &out);
+    if (rules.count("thread-primitives")) rule_thread_primitives(f, &out);
   }
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    if (a.file != b.file) return a.file < b.file;
-    if (a.line != b.line) return a.line < b.line;
-    return a.rule < b.rule;
-  });
   return out;
 }
 
@@ -648,6 +821,31 @@ std::vector<Suppression> collect_suppressions(const Corpus& corpus) {
     for (const auto& [line, text] : f.lx.comments)
       parse_allows(text, line, f.rel, &out);
   return out;
+}
+
+void audit_suppressions(const Corpus& corpus, const std::set<std::string>& used,
+                        std::vector<Finding>* out) {
+  for (const auto& s : collect_suppressions(corpus)) {
+    auto finding = [&](std::string message, std::string suggestion) {
+      out->push_back({s.file, s.line, "suppression-audit", std::move(message),
+                      std::move(suggestion), ""});
+    };
+    if (std::find(std::begin(kAllRules), std::end(kAllRules), s.rule) ==
+        std::end(kAllRules)) {
+      finding("allow(" + s.rule + ") names no known rule, so it silences "
+              "nothing",
+              "fix the rule name (flexric-analyze --help lists them)");
+      continue;
+    }
+    if (s.reason.empty())
+      finding("suppression allow(" + s.rule + ") has no reason; reasons are "
+              "mandatory",
+              "append why: `// lint: allow(" + s.rule + ") <why>`");
+    if (used.count(s.file + ":" + std::to_string(s.line) + ":" + s.rule) == 0)
+      finding("stale suppression: allow(" + s.rule + ") no longer silences "
+              "any finding",
+              "delete the stale `lint: allow(...)` comment");
+  }
 }
 
 }  // namespace flexric::analyze

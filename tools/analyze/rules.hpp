@@ -1,8 +1,8 @@
 // Rule engine for the FlexRIC static analyzer.
 //
-// Eight rules, all running on the token stream from lexer.hpp over the shared
-// symbol/annotation index from index.hpp (not line regexes — DESIGN.md §10,
-// §12):
+// Fourteen rules, all running on the token stream (and the comment/directive
+// side tables) from lexer.hpp over the shared symbol/annotation index from
+// index.hpp (not line regexes — DESIGN.md §7, §10, §12):
 //
 //   posted-lambda-lifetime  a lambda literal passed to post()/add_timer()/
 //                           call_soon() that captures `this` or a raw
@@ -73,13 +73,29 @@
 //                           (seq_cst) atomic ops are flagged on `@hotpath`;
 //                           atomics in `@affine(shard)` classes need
 //                           alignas(64) against false sharing.
+//   unchecked-result        `.value()` asserts on the error arm, so src/,
+//                           fuzz/, bench/ and examples/ branch on is_ok()
+//                           and use operator*/error(); only tests/ may call
+//                           it.
+//   wire-assert             no assert()/FLEXRIC_ASSERT() in src/codec/,
+//                           src/e2ap/ or src/e2sm/: malformed peer input
+//                           must become an error, never an abort.
+//   include-hygiene         quoted includes resolve under the including
+//                           file's category roots (Corpus::include_roots)
+//                           without `..`, and a .cpp with a sibling header
+//                           includes it first (header self-containment).
+//   thread-primitives       the reactor is single-threaded: threading
+//                           primitives and their headers stay in
+//                           src/transport/ plus the three sanctioned
+//                           cross-shard headers (rules.cpp kThreadOkFiles).
 //
 // Suppression: `lint: allow(<rule>) <reason>` in a comment on the finding's
 // line or the line directly above. The reason is mandatory (the gate run and
-// --list both enforce it), and a full run flags suppressions that no longer
-// silence anything as stale.
+// --list both enforce it), and a full run flags suppressions that name no
+// known rule or no longer silence anything (audit_suppressions).
 #pragma once
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -170,6 +186,17 @@ struct Corpus {
   std::vector<RingSite> ring_sites;
   /// SpscRing::reset_endpoints() call sites (b6: recovery-only).
   std::vector<ResetSite> reset_sites;
+  /// Every scanned file's rel path: include-hygiene resolves against it.
+  std::set<std::string> file_set;
+  /// Quoted-include roots per category, relative to the scan root ("" is
+  /// the root itself), tried in order (include-hygiene).
+  std::map<std::string, std::vector<std::string>> include_roots = {
+      {"src", {"src"}},
+      {"tests", {"src", "tests"}},
+      {"fuzz", {"src", "fuzz"}},
+      {"bench", {"src", "bench", ""}},
+      {"examples", {"src", "examples"}},
+  };
 };
 
 inline const char* const kAllRules[] = {
@@ -183,20 +210,30 @@ inline const char* const kAllRules[] = {
     "hotpath-alloc",
     "view-escape",
     "atomics-order",
+    "unchecked-result",
+    "wire-assert",
+    "include-hygiene",
+    "thread-primitives",
 };
 
-/// Populate corpus.index plus the symbol registries (nodiscard_fns,
+/// Populate corpus.index, file_set and the symbol registries (nodiscard_fns,
 /// affine_classes, classes) from corpus.files.
 void build_registry(Corpus& corpus);
 
-/// Run the selected rules; findings are suppression-filtered and sorted by
-/// (file, line, rule).
+/// Run the selected rules; findings are suppression-filtered, in file
+/// order.
 std::vector<Finding> run_rules(const Corpus& corpus,
                                const std::set<std::string>& rules);
 
 /// Every `lint: allow(...)` suppression in the corpus (for --list and the
 /// stale-suppression audit).
 std::vector<Suppression> collect_suppressions(const Corpus& corpus);
+
+/// Suppression audit of a full run (every rule selected): each allow() must
+/// name a rule of kAllRules, carry a reason and be in `used` (the
+/// "file:line:rule" keys the suppression tracker recorded).
+void audit_suppressions(const Corpus& corpus, const std::set<std::string>& used,
+                        std::vector<Finding>* out);
 
 // --- passes.cpp -------------------------------------------------------------
 
