@@ -8,8 +8,9 @@
 #                   harness fails the run hard
 #
 # Both legs run the full ctest suite, which includes the deterministic fuzz
-# drivers (fuzz/), the telemetry store suite (test_telemetry — built into
-# both legs via flexric_telemetry).
+# battery (fuzz/: the E2AP codec fuzzers, fuzz_sm over every E2SM payload in
+# PER/FLAT/PROTO, fuzz_rollups), the telemetry store suite (test_telemetry —
+# built into both legs via flexric_telemetry).
 #
 # Every leg also runs the static-analysis gates: tools/analyze (the repo's
 # one static analyzer, CTest targets `analyze`, `lint`, `analyze_fixtures`

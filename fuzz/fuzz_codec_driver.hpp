@@ -1,6 +1,6 @@
 // Shared attack loop for the per-codec fuzz drivers.
 //
-// Per iteration: generate a random IR message, encode it, then
+// Per iteration: generate a message with gen<e2ap::Msg>, encode it, then
 //   1. assert the clean round-trip (decode(encode(m)) == m),
 //   2. decode a strict prefix        -> MUST return an error Result,
 //   3. decode a bit-flipped frame    -> error or success, never a crash,
@@ -22,7 +22,7 @@ inline int run_codec_fuzz(const e2ap::Codec& codec, const DriverConfig& cfg,
   Rng rng(cfg.seed);
   Tally flip, length, random;
   for (std::size_t i = 0; i < cfg.iters; ++i) {
-    e2ap::Msg msg = random_msg(rng);
+    e2ap::Msg msg = gen<e2ap::Msg>(rng);
     auto wire = codec.encode(msg);
     if (!wire) fail("encode of a valid IR message failed", i);
 

@@ -1,15 +1,21 @@
-// Deterministic, structure-aware fuzzing harness for the E2AP wire codecs.
+// Deterministic, structure-aware fuzzing harness for the wire codecs.
 //
 // No libFuzzer dependency: each driver is a plain executable that loops a
 // seeded xoshiro PRNG (common/rng.hpp), so every run — locally and in CI —
-// replays the identical input sequence. The harness generates random but
-// constraint-respecting e2ap::Msg instances across all 21 procedures, then
-// attacks the decoders with truncated, bit-flipped, length-field-corrupted
-// and fully random inputs. Decoders must uphold the contract of
-// DESIGN.md §6: a Result error on bad input, never a crash, abort or UB
-// (sanitizer builds turn any violation into a hard failure).
+// replays the identical input sequence. Inputs come from the messages' own
+// serde() declarations: the Gen archive below walks a declaration and fills
+// each field at random inside the ranges it declares, for every E2AP
+// procedure and every E2SM payload alike. Each fuzzer then attacks the
+// decoders with truncated, bit-flipped, length-field-corrupted and fully
+// random inputs. Decoders must uphold the contract of DESIGN.md §6: a Result
+// error on bad input, never a crash, abort or UB (sanitizer builds turn any
+// violation into a hard failure).
 #pragma once
 
+#include <bit>
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,250 +24,91 @@
 #include "common/buffer.hpp"
 #include "common/rng.hpp"
 #include "e2ap/messages.hpp"
+#include "e2sm/serde.hpp"
 
 namespace flexric::fuzz {
 
-// ------------------------- random IR generation ----------------------------
-// Values stay inside the ranges the procedures' serde() declarations give
-// (a value outside them fails encode() with Errc::out_of_range), so every
-// generated Msg must round-trip through either codec.
+// ------------------------- generated IR ------------------------------------
 
-inline Buffer rand_buf(Rng& rng, std::size_t max_len) {
+/// Up to `max_len` random bytes.
+inline Buffer random_bytes(Rng& rng, std::size_t max_len) {
   Buffer b(rng.bounded(max_len + 1));
   for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.next());
   return b;
 }
 
-inline std::string rand_str(Rng& rng, std::size_t max_len) {
-  std::string s(rng.bounded(max_len + 1), '\0');
-  for (auto& c : s) c = static_cast<char>('a' + rng.bounded(26));
-  return s;
-}
+/// Generating archive: fills a message from an Rng by walking its serde()
+/// declaration. ranged() draws inside the declared range, so every value it
+/// builds encodes; other scalars draw their full width, except that f64
+/// draws finite values only (NaN != NaN would break the round-trip check).
+class Gen : public e2sm::Archive<Gen> {
+ public:
+  static constexpr std::size_t kMaxLen = 48;   ///< str and bytes
+  static constexpr std::size_t kMaxCount = 5;  ///< vec elements
 
-inline e2ap::GlobalNodeId rand_node_id(Rng& rng) {
-  e2ap::GlobalNodeId id;
-  id.plmn = static_cast<std::uint32_t>(rng.bounded(0xFFFFFF + 1ULL));
-  id.nb_id = static_cast<std::uint32_t>(rng.bounded(0xFFFFFFF + 1ULL));
-  id.type = static_cast<e2ap::NodeType>(rng.bounded(4));
-  return id;
-}
+  explicit Gen(Rng& rng) : rng_(rng) {}
+  void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(rng_.next()); }
+  void u16(std::uint16_t& v) { v = static_cast<std::uint16_t>(rng_.next()); }
+  void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(rng_.next()); }
+  void u64(std::uint64_t& v) { v = rng_.next(); }
+  void i64(std::int64_t& v) { v = static_cast<std::int64_t>(rng_.next()); }
+  void f64(double& v) {
+    do v = std::bit_cast<double>(rng_.next());
+    while (!std::isfinite(v));
+  }
+  void boolean(bool& v) { v = rng_.chance(0.5); }
+  template <typename E>
+  void enum8(E& v) {
+    v = static_cast<E>(static_cast<std::uint8_t>(rng_.next()));
+  }
+  void str(std::string& v) {
+    const Buffer b = random_bytes(rng_, kMaxLen);
+    v.assign(b.begin(), b.end());
+  }
+  void bytes(Buffer& v) { v = random_bytes(rng_, kMaxLen); }
+  template <typename T>
+  void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
+    v = static_cast<T>(lo + rng_.bounded(hi - lo + 1));
+  }
+  template <typename O>
+  void present(O& v) {
+    if (rng_.chance(0.5)) v.emplace();
+    else v.reset();
+  }
+  template <typename T, typename F = e2sm::FieldFn>
+  void body(std::optional<T>& v, F elem = {}) {
+    if (v) elem(*this, *v);
+  }
+  template <typename T, typename F = e2sm::FieldFn>
+  void vec(std::vector<T>& v, F elem = {}) {
+    v.resize(rng_.bounded(kMaxCount + 1));
+    for (auto& e : v) elem(*this, e);
+  }
 
-inline e2ap::Cause rand_cause(Rng& rng) {
-  return {static_cast<e2ap::Cause::Group>(rng.bounded(4)),
-          static_cast<std::uint8_t>(rng.next())};
-}
+ private:
+  Rng& rng_;
+};
 
-inline e2ap::RicRequestId rand_req_id(Rng& rng) {
-  return {static_cast<std::uint16_t>(rng.next()),
-          static_cast<std::uint16_t>(rng.next())};
-}
-
-inline e2ap::RanFunctionItem rand_ran_function(Rng& rng) {
-  e2ap::RanFunctionItem f;
-  f.id = static_cast<std::uint16_t>(rng.bounded(4096));
-  f.revision = static_cast<std::uint16_t>(rng.bounded(4096));
-  f.name = rand_str(rng, 24);
-  f.definition = rand_buf(rng, 48);
-  return f;
-}
-
-inline e2ap::Action rand_action(Rng& rng) {
-  e2ap::Action a;
-  a.id = static_cast<std::uint8_t>(rng.next());
-  a.type = static_cast<e2ap::ActionType>(rng.bounded(3));
-  a.definition = rand_buf(rng, 48);
-  return a;
-}
-
-inline std::vector<std::uint16_t> rand_fn_id_list(Rng& rng) {
-  std::vector<std::uint16_t> v(rng.bounded(6));
-  for (auto& x : v) x = static_cast<std::uint16_t>(rng.bounded(4096));
+/// A random message of any serde-declared type.
+template <typename T>
+T gen(Rng& rng) {
+  T v{};
+  Gen a(rng);
+  a.field(v);
   return v;
 }
 
-inline std::vector<std::pair<std::uint16_t, e2ap::Cause>> rand_fn_cause_list(
-    Rng& rng) {
-  std::vector<std::pair<std::uint16_t, e2ap::Cause>> v(rng.bounded(6));
-  for (auto& [id, c] : v) {
-    id = static_cast<std::uint16_t>(rng.bounded(4096));
-    c = rand_cause(rng);
-  }
-  return v;
-}
-
-/// A random, constraint-respecting IR message; uniform over all 21 types.
-inline e2ap::Msg random_msg(Rng& rng) {
-  using namespace e2ap;
-  auto trans = [&rng] { return static_cast<std::uint8_t>(rng.next()); };
-  switch (static_cast<MsgType>(rng.bounded(kNumMsgTypes))) {
-    case MsgType::setup_request: {
-      SetupRequest m;
-      m.trans_id = trans();
-      m.node = rand_node_id(rng);
-      m.ran_functions.resize(rng.bounded(4));
-      for (auto& f : m.ran_functions) f = rand_ran_function(rng);
-      return m;
-    }
-    case MsgType::setup_response: {
-      SetupResponse m;
-      m.trans_id = trans();
-      m.ric_id = static_cast<std::uint32_t>(rng.bounded(0xFFFFF + 1ULL));
-      m.accepted = rand_fn_id_list(rng);
-      m.rejected = rand_fn_cause_list(rng);
-      return m;
-    }
-    case MsgType::setup_failure: {
-      SetupFailure m;
-      m.trans_id = trans();
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::reset_request: {
-      ResetRequest m;
-      m.trans_id = trans();
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::reset_response: {
-      ResetResponse m;
-      m.trans_id = trans();
-      return m;
-    }
-    case MsgType::error_indication: {
-      ErrorIndication m;
-      if (rng.chance(0.5)) m.request = rand_req_id(rng);
-      if (rng.chance(0.5))
-        m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::service_update: {
-      ServiceUpdate m;
-      m.trans_id = trans();
-      m.added.resize(rng.bounded(3));
-      for (auto& f : m.added) f = rand_ran_function(rng);
-      m.modified.resize(rng.bounded(3));
-      for (auto& f : m.modified) f = rand_ran_function(rng);
-      m.removed = rand_fn_id_list(rng);
-      return m;
-    }
-    case MsgType::service_update_ack: {
-      ServiceUpdateAck m;
-      m.trans_id = trans();
-      m.accepted = rand_fn_id_list(rng);
-      m.rejected = rand_fn_cause_list(rng);
-      return m;
-    }
-    case MsgType::service_update_failure: {
-      ServiceUpdateFailure m;
-      m.trans_id = trans();
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::node_config_update: {
-      NodeConfigUpdate m;
-      m.trans_id = trans();
-      m.components.resize(rng.bounded(4));
-      for (auto& [name, cfg] : m.components) {
-        name = rand_str(rng, 16);
-        cfg = rand_buf(rng, 32);
-      }
-      return m;
-    }
-    case MsgType::node_config_update_ack: {
-      NodeConfigUpdateAck m;
-      m.trans_id = trans();
-      m.accepted_components.resize(rng.bounded(4));
-      for (auto& name : m.accepted_components) name = rand_str(rng, 16);
-      return m;
-    }
-    case MsgType::subscription_request: {
-      SubscriptionRequest m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.event_trigger = rand_buf(rng, 48);
-      m.actions.resize(rng.bounded(4));
-      for (auto& a : m.actions) a = rand_action(rng);
-      return m;
-    }
-    case MsgType::subscription_response: {
-      SubscriptionResponse m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.admitted.resize(rng.bounded(5));
-      for (auto& id : m.admitted) id = static_cast<std::uint8_t>(rng.next());
-      m.not_admitted.resize(rng.bounded(5));
-      for (auto& [id, c] : m.not_admitted) {
-        id = static_cast<std::uint8_t>(rng.next());
-        c = rand_cause(rng);
-      }
-      return m;
-    }
-    case MsgType::subscription_failure: {
-      SubscriptionFailure m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::subscription_delete_request: {
-      SubscriptionDeleteRequest m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      return m;
-    }
-    case MsgType::subscription_delete_response: {
-      SubscriptionDeleteResponse m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      return m;
-    }
-    case MsgType::subscription_delete_failure: {
-      SubscriptionDeleteFailure m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.cause = rand_cause(rng);
-      return m;
-    }
-    case MsgType::indication: {
-      Indication m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.action_id = static_cast<std::uint8_t>(rng.next());
-      m.sn = static_cast<std::uint32_t>(rng.next());
-      m.type = static_cast<ActionType>(rng.bounded(3));
-      m.header = rand_buf(rng, 64);
-      m.message = rand_buf(rng, 64);
-      if (rng.chance(0.5)) m.call_process_id = rand_buf(rng, 16);
-      return m;
-    }
-    case MsgType::control_request: {
-      ControlRequest m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.header = rand_buf(rng, 48);
-      m.message = rand_buf(rng, 48);
-      m.ack_requested = rng.chance(0.5);
-      if (rng.chance(0.5)) m.call_process_id = rand_buf(rng, 16);
-      return m;
-    }
-    case MsgType::control_ack: {
-      ControlAck m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.outcome = rand_buf(rng, 48);
-      return m;
-    }
-    case MsgType::control_failure: {
-      ControlFailure m;
-      m.request = rand_req_id(rng);
-      m.ran_function_id = static_cast<std::uint16_t>(rng.bounded(4096));
-      m.cause = rand_cause(rng);
-      m.outcome = rand_buf(rng, 48);
-      return m;
-    }
-  }
-  return e2ap::ResetResponse{};  // unreachable: bounded(kNumMsgTypes)
+/// A random E2AP message, uniform over all 21 procedures: the tag is drawn
+/// the way the codecs declare it, and blank_msg() picks the alternative.
+template <>
+inline e2ap::Msg gen<e2ap::Msg>(Rng& rng) {
+  Gen a(rng);
+  e2ap::MsgType t{};
+  a.ranged(t, 0, e2ap::kNumMsgTypes - 1);
+  e2ap::Msg m =
+      e2ap::blank_msg(t, std::make_index_sequence<e2ap::kNumMsgTypes>{});
+  std::visit([&a](auto& msg) { a.field(msg); }, m);
+  return m;
 }
 
 // ------------------------- wire mutators -----------------------------------
@@ -302,7 +149,7 @@ inline Buffer corrupt_length_field(const Buffer& wire, Rng& rng) {
 
 /// Fully random garbage, occasionally starting with a valid-looking tag.
 inline Buffer random_wire(Rng& rng, std::size_t max_len) {
-  Buffer b = rand_buf(rng, max_len);
+  Buffer b = random_bytes(rng, max_len);
   if (!b.empty() && rng.chance(0.25))
     b[0] = static_cast<std::uint8_t>(rng.bounded(e2ap::kNumMsgTypes));
   return b;
@@ -315,18 +162,24 @@ struct DriverConfig {
   std::size_t iters = 100000;
 };
 
-/// Parse --seed N / --iters N; exits on malformed arguments so CTest
-/// misconfiguration is loud.
+/// Parse --seed N / --iters N; exits 2 on a missing, empty, non-numeric,
+/// negative or partly numeric value, so CTest misconfiguration is loud.
 inline DriverConfig parse_args(int argc, char** argv) {
   DriverConfig cfg;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     auto next_u64 = [&](const char* flag) -> std::uint64_t {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
+      const char* v = i + 1 < argc ? argv[++i] : "";
+      char* end = nullptr;
+      errno = 0;
+      const std::uint64_t n = std::strtoull(v, &end, 0);
+      // Alone, strtoull would skip blanks, wrap a '-' and stop at junk.
+      if (!std::isdigit(static_cast<unsigned char>(*v)) || *end != '\0' ||
+          errno == ERANGE) {
+        std::fprintf(stderr, "bad value '%s' for %s\n", v, flag);
         std::exit(2);
       }
-      return std::strtoull(argv[++i], nullptr, 0);
+      return n;
     };
     if (std::strcmp(a, "--seed") == 0) {
       cfg.seed = next_u64("--seed");

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   Tally cross;
   std::size_t per_bytes = 0, flat_bytes = 0;
   for (std::size_t i = 0; i < cfg.iters; ++i) {
-    e2ap::Msg msg = random_msg(rng);
+    e2ap::Msg msg = gen<e2ap::Msg>(rng);
 
     auto per_wire = per.encode(msg);
     if (!per_wire) fail("PER encode failed", i);

@@ -13,22 +13,6 @@
 namespace flexric::e2ap {
 namespace {
 
-/// Default-constructed alternative I of Msg. The variant index equals the
-/// MsgType tag, so the decoder picks the alternative by the tag it read.
-template <std::size_t I>
-Msg blank() {
-  static_assert(
-      static_cast<std::size_t>(std::variant_alternative_t<I, Msg>::kType) == I,
-      "Msg alternatives must be in MsgType order");
-  return Msg{std::in_place_index<I>};
-}
-
-template <std::size_t... I>
-Msg blank_msg(MsgType t, std::index_sequence<I...>) {
-  static constexpr Msg (*kBlank[])() = {&blank<I>...};
-  return kBlank[static_cast<std::size_t>(t)]();
-}
-
 /// The frame's leading MsgType tag, in either direction.
 template <typename A, typename T>
 void tag(A& a, T& type) {

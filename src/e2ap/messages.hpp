@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -509,5 +510,21 @@ using Msg = std::variant<
 
 /// Runtime type tag of an IR message.
 MsgType msg_type(const Msg& m) noexcept;
+
+/// Default-constructed alternative I of Msg. The variant index equals the
+/// MsgType tag, so the decoder picks the alternative by the tag it read.
+template <std::size_t I>
+inline Msg blank() {
+  static_assert(
+      static_cast<std::size_t>(std::variant_alternative_t<I, Msg>::kType) == I,
+      "Msg alternatives must be in MsgType order");
+  return Msg{std::in_place_index<I>};
+}
+
+template <std::size_t... I>
+inline Msg blank_msg(MsgType t, std::index_sequence<I...>) {
+  static constexpr Msg (*kBlank[])() = {&blank<I>...};
+  return kBlank[static_cast<std::size_t>(t)]();
+}
 
 }  // namespace flexric::e2ap

@@ -334,6 +334,7 @@ Result<Buffer> TcCtrlFunction::on_control(const e2ap::ControlRequest& req,
     case e2sm::tc::CtrlKind::del_filter: st = chain->del_filter(msg->del_id); break;
     case e2sm::tc::CtrlKind::sched_conf: chain->set_sched(msg->sched); break;
     case e2sm::tc::CtrlKind::pacer_conf: chain->set_pacer(msg->pacer); break;
+    default: st = {Errc::unsupported, "unknown TC control kind"}; break;
   }
   e2sm::tc::CtrlOutcome outcome;
   outcome.success = st.is_ok();

@@ -152,6 +152,10 @@ double MacScheduler::admission_load(
 Status MacScheduler::apply(const e2sm::slice::CtrlMsg& msg) {
   switch (msg.kind) {
     case CtrlKind::add_mod: {
+      // A wire enum is not range-checked on decode; an unknown algorithm
+      // would match no case in schedule() and starve the cell.
+      if (msg.algo > Algo::nvs)
+        return {Errc::unsupported, "unknown slice algorithm"};
       // NVS admission control: Σ c_s + Σ r_rsv/r_ref <= 1.
       if (msg.algo == Algo::nvs &&
           admission_load(msg.slices, {}) > 1.0 + 1e-9)

@@ -363,6 +363,13 @@ TEST(Functions, TcControlInstallsQueueFilterPacer) {
   bad.rnti = 999;  // no such UE
   bad.queue.qid = 2;
   EXPECT_FALSE(send_tc(bad));
+
+  // An unknown kind is a wire value no case handles: it must not be acked
+  // as a successful no-op.
+  e2sm::tc::CtrlMsg unknown;
+  unknown.kind = static_cast<e2sm::tc::CtrlKind>(6);
+  unknown.rnti = 100;
+  EXPECT_FALSE(send_tc(unknown));
 }
 
 TEST(Functions, TcStatsReports) {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -29,6 +28,7 @@
 #include "codec/flat.hpp"
 #include "codec/proto.hpp"
 #include "codec/wire.hpp"
+#include "common/alloc_counter.hpp"
 #include "common/buffer.hpp"
 #include "e2ap/codec.hpp"
 #include "e2sm/assoc_sm.hpp"
@@ -41,28 +41,6 @@
 #include "e2sm/rrc_sm.hpp"
 #include "e2sm/slice_sm.hpp"
 #include "e2sm/tc_sm.hpp"
-
-// ---------------------------------------------------------------------------
-// Allocation counter: while armed on a thread, every operator new on that
-// thread adds its size. Only this test binary links this translation unit.
-// ---------------------------------------------------------------------------
-
-namespace {
-thread_local bool t_counting = false;
-thread_local std::size_t t_alloc_bytes = 0;
-}  // namespace
-
-// Out of line so the compiler does not pair the inlined free() with a
-// `new` expression and warn about a mismatch.
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (t_counting) t_alloc_bytes += n;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace flexric {
 namespace {
@@ -536,12 +514,11 @@ TEST(FlatGolden, StrictPrefixesFailToDecode) {
 /// Bytes allocated while `decode` runs; it must reject its forged input.
 template <typename F>
 std::size_t bytes_allocated_by(F decode) {
-  t_alloc_bytes = 0;
-  t_counting = true;
+  alloc_counter::arm();
   const bool decoded = decode();
-  t_counting = false;
+  const std::size_t bytes = alloc_counter::disarm();
   EXPECT_FALSE(decoded);
-  return t_alloc_bytes;
+  return bytes;
 }
 
 template <typename T>

@@ -1,7 +1,7 @@
 // Property-based sweeps over the system invariants (DESIGN.md §6):
 // NVS share attainment across the parameter space, TC conservation under
-// random traffic, serde round-trips of randomized messages, RLC byte
-// conservation, Cubic sanity, and the TC policy (Appendix A.3) service.
+// random traffic, RLC byte conservation, Cubic sanity, and the TC policy
+// (Appendix A.3) service.
 #include <gtest/gtest.h>
 
 #include "agent/agent.hpp"
@@ -136,75 +136,6 @@ TEST_P(TcConservation, EnqueuedEqualsDequeuedPlusBacklogPlusDrops) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TcConservation,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
-
-// ---------------------------------------------------------------------------
-// Randomized SM message round-trips across all formats
-// ---------------------------------------------------------------------------
-
-class SerdeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SerdeFuzz, RandomizedMessagesRoundTripAllFormats) {
-  Rng rng(GetParam());
-  auto rand_str = [&](std::size_t max) {
-    std::string s;
-    std::size_t n = rng.bounded(max);
-    for (std::size_t i = 0; i < n; ++i)
-      s.push_back(static_cast<char>('a' + rng.bounded(26)));
-    return s;
-  };
-  for (int round = 0; round < 30; ++round) {
-    e2sm::mac::IndicationMsg mac_msg;
-    std::size_t ues = rng.bounded(40);
-    for (std::size_t i = 0; i < ues; ++i) {
-      e2sm::mac::UeStats s;
-      s.rnti = static_cast<std::uint16_t>(rng.next());
-      s.cqi = static_cast<std::uint8_t>(rng.bounded(16));
-      s.bytes_dl = rng.next();
-      s.phr_db = static_cast<std::int64_t>(rng.next());
-      s.slice_id = static_cast<std::uint32_t>(rng.next());
-      mac_msg.ues.push_back(s);
-    }
-    e2sm::slice::CtrlMsg slice_msg;
-    slice_msg.kind = static_cast<e2sm::slice::CtrlKind>(rng.bounded(3));
-    std::size_t slices = rng.bounded(8);
-    for (std::size_t i = 0; i < slices; ++i) {
-      e2sm::slice::SliceConf conf;
-      conf.id = static_cast<std::uint32_t>(rng.bounded(1000));
-      conf.label = rand_str(24);
-      conf.nvs.kind = static_cast<e2sm::slice::NvsKind>(rng.bounded(2));
-      conf.nvs.capacity_share = rng.uniform();
-      conf.nvs.rate_mbps = rng.uniform(0, 1000);
-      slice_msg.slices.push_back(std::move(conf));
-    }
-    e2sm::tc::IndicationMsg tc_msg;
-    std::size_t queues = rng.bounded(6);
-    for (std::size_t i = 0; i < queues; ++i) {
-      e2sm::tc::QueueStats q;
-      q.qid = static_cast<std::uint32_t>(i);
-      q.sojourn_avg_ms = rng.uniform(0, 1000);
-      q.tx_bytes = rng.next();
-      tc_msg.queues.push_back(q);
-    }
-    for (WireFormat f :
-         {WireFormat::per, WireFormat::flat, WireFormat::proto}) {
-      auto m1 = e2sm::sm_decode<e2sm::mac::IndicationMsg>(
-          e2sm::sm_encode(mac_msg, f), f);
-      ASSERT_TRUE(m1.is_ok());
-      EXPECT_EQ(*m1, mac_msg);
-      auto m2 = e2sm::sm_decode<e2sm::slice::CtrlMsg>(
-          e2sm::sm_encode(slice_msg, f), f);
-      ASSERT_TRUE(m2.is_ok());
-      EXPECT_EQ(*m2, slice_msg);
-      auto m3 = e2sm::sm_decode<e2sm::tc::IndicationMsg>(
-          e2sm::sm_encode(tc_msg, f), f);
-      ASSERT_TRUE(m3.is_ok());
-      EXPECT_EQ(*m3, tc_msg);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SerdeFuzz,
-                         ::testing::Values(11, 22, 33, 44));
 
 // ---------------------------------------------------------------------------
 // RLC byte conservation under random drive

@@ -303,6 +303,22 @@ TEST(Nvs, DefaultSliceCannotBeDeleted) {
   EXPECT_FALSE(mac.apply(del).is_ok());
 }
 
+TEST(Nvs, UnknownAlgorithmIsRejectedAndCellKeepsScheduling) {
+  // E2SM enums are not range-checked on decode, so a peer can send any
+  // algorithm byte; storing it would leave schedule() matching no case.
+  MacScheduler mac(nr106());
+  mac.add_ue(1);
+  CtrlMsg bad = add_slices({capacity_slice(1, 0.5)});
+  bad.algo = static_cast<Algo>(7);
+  auto st = mac.apply(bad);
+  EXPECT_FALSE(st.is_ok());
+  EXPECT_EQ(st.code(), Errc::unsupported);
+  std::vector<UeInput> ues = {{1, 20, 1 << 20}};
+  std::uint32_t prbs = 0;
+  for (const Alloc& a : mac.schedule(ues)) prbs += a.prbs;
+  EXPECT_GT(prbs, 0u);
+}
+
 TEST(Nvs, AssocToUnknownSliceFails) {
   MacScheduler mac(nr106());
   mac.add_ue(1);
