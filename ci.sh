@@ -1,7 +1,11 @@
 #!/usr/bin/env sh
 # CI entry point: the tier-1 matrix, twice — plus an opt-in chaos soak.
 #
-#   1. plain        RelWithDebInfo, the configuration ROADMAP.md documents
+#   1. plain        RelWithDebInfo, the configuration ROADMAP.md documents,
+#                   then bench_telemetry: it exits 1 when the store's memory
+#                   passes its budget, a sample is dropped, or the tight-
+#                   budget leg evicts nothing, so every run exercises the
+#                   telemetry slab reusing evicted series' blocks
 #   2. asan-ubsan   FLEXRIC_SANITIZE=address;undefined with
 #                   -fno-sanitize-recover=all, so any ASan/UBSan finding in
 #                   the unit tests, the fuzz battery, or the differential
@@ -220,6 +224,8 @@ fi
 
 run_leg plain "$root/build" \
   -DFLEXRIC_SANITIZE=""
+echo "==== [plain] bench_telemetry (budget, drops, eviction under a tight budget) ===="
+"$root/build/bench/bench_telemetry"
 # The full analysis lane (tree scan, json, suppression audit, fixtures,
 # self-scan) is part of the default run — the plain build above already
 # produced the binary, so this adds seconds, and a finding fails CI even when

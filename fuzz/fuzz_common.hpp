@@ -41,12 +41,19 @@ inline Buffer random_bytes(Rng& rng, std::size_t max_len) {
 /// declaration. ranged() draws inside the declared range, so every value it
 /// builds encodes; other scalars draw their full width, except that f64
 /// draws finite values only (NaN != NaN would break the round-trip check).
+/// Lists hold up to kMaxCount random elements. A top-level list is instead
+/// up to kMaxLongCount long with chance `long_chance`, or, when
+/// `floor_count` is set, exactly that many default elements: the smallest
+/// each encodes to, so the most elements per wire byte.
 class Gen : public e2sm::Archive<Gen> {
  public:
   static constexpr std::size_t kMaxLen = 48;   ///< str and bytes
   static constexpr std::size_t kMaxCount = 5;  ///< vec elements
+  static constexpr std::size_t kMaxLongCount = 1024;
 
-  explicit Gen(Rng& rng) : rng_(rng) {}
+  explicit Gen(Rng& rng, double long_chance = 0.0,
+               std::size_t floor_count = 0)
+      : rng_(rng), long_chance_(long_chance), floor_count_(floor_count) {}
   void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(rng_.next()); }
   void u16(std::uint16_t& v) { v = static_cast<std::uint16_t>(rng_.next()); }
   void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(rng_.next()); }
@@ -81,19 +88,31 @@ class Gen : public e2sm::Archive<Gen> {
   }
   template <typename T, typename F = e2sm::FieldFn>
   void vec(std::vector<T>& v, F elem = {}) {
-    v.resize(rng_.bounded(kMaxCount + 1));
+    if (depth_ == 0 && floor_count_ > 0) {
+      v.assign(floor_count_, T{});
+      return;
+    }
+    std::size_t n = rng_.bounded(kMaxCount + 1);
+    if (depth_ == 0 && long_chance_ > 0.0 && rng_.chance(long_chance_))
+      n = rng_.bounded(kMaxLongCount + 1);
+    v.resize(n);
+    ++depth_;
     for (auto& e : v) elem(*this, e);
+    --depth_;
   }
 
  private:
   Rng& rng_;
+  double long_chance_;
+  std::size_t floor_count_;
+  int depth_ = 0;  ///< lists being filled around the current field
 };
 
-/// A random message of any serde-declared type.
+/// A random message of any serde-declared type (Gen for the list options).
 template <typename T>
-T gen(Rng& rng) {
+T gen(Rng& rng, double long_chance = 0.0, std::size_t floor_count = 0) {
   T v{};
-  Gen a(rng);
+  Gen a(rng, long_chance, floor_count);
   a.field(v);
   return v;
 }
@@ -101,8 +120,9 @@ T gen(Rng& rng) {
 /// A random E2AP message, uniform over all 21 procedures: the tag is drawn
 /// the way the codecs declare it, and blank_msg() picks the alternative.
 template <>
-inline e2ap::Msg gen<e2ap::Msg>(Rng& rng) {
-  Gen a(rng);
+inline e2ap::Msg gen<e2ap::Msg>(Rng& rng, double long_chance,
+                                std::size_t floor_count) {
+  Gen a(rng, long_chance, floor_count);
   e2ap::MsgType t{};
   a.ranged(t, 0, e2ap::kNumMsgTypes - 1);
   e2ap::Msg m =

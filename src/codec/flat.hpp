@@ -115,12 +115,6 @@ class FlatView {
   }
   /// Resolve a var field slot: view into the wire bytes, no copy.
   Result<BytesView> var_bytes();
-  Result<std::string_view> var_string() {
-    auto b = var_bytes();
-    if (!b) return b.error();
-    return std::string_view(reinterpret_cast<const char*>(b->data()),
-                            b->size());
-  }
 
   /// Total size of the table on the wire including the size prefix.
   [[nodiscard]] std::size_t wire_size() const noexcept {

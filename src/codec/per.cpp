@@ -165,18 +165,6 @@ Result<BytesView> PerReader::octet_view() {
   return br_.bytes(*n);
 }
 
-Result<Buffer> PerReader::octets() {
-  auto b = octet_view();
-  if (!b) return b.error();
-  return Buffer(b->begin(), b->end());
-}
-
-Result<std::string> PerReader::str() {
-  auto b = octet_view();
-  if (!b) return b.error();
-  return std::string(reinterpret_cast<const char*>(b->data()), b->size());
-}
-
 Result<std::uint64_t> PerReader::presence(std::size_t n) {
   if (n > 64)
     return Error{Errc::out_of_range, "presence bitmap wider than 64 bits"};

@@ -85,9 +85,9 @@ class PerReader {
   Result<std::int64_t> integer();
   Result<std::uint32_t> enumerated(std::uint32_t n);
   Result<std::size_t> length();
-  /// OCTET STRING: one bounds-checked bulk copy into an owned buffer.
-  Result<Buffer> octets();
-  Result<std::string> str();
+  /// OCTET STRING (and a string's bytes): length determinant + aligned
+  /// bytes, viewed in place.
+  Result<BytesView> octet_view();
   /// Presence bitmap of up to 64 optional fields: bit i of the result is the
   /// i-th flag written by PerWriter::presence.
   Result<std::uint64_t> presence(std::size_t n);
@@ -98,9 +98,6 @@ class PerReader {
   }
 
  private:
-  /// Length determinant + aligned bytes, viewed in place.
-  Result<BytesView> octet_view();
-
   BitReader br_;
 };
 

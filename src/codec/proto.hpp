@@ -83,10 +83,6 @@ class ProtoReader {
 
   /// Helpers to interpret a len field.
   static Result<double> as_f64(const Field& f);
-  static std::string as_string(const Field& f) {
-    return std::string(reinterpret_cast<const char*>(f.bytes.data()),
-                       f.bytes.size());
-  }
   static std::int64_t as_i64(const Field& f) {
     std::uint64_t u = f.varint;
     return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));

@@ -180,11 +180,6 @@ class BufReader {
     if (!n) return n.error();
     return bytes(static_cast<std::size_t>(*n));
   }
-  Result<std::string> lp_string() {
-    auto b = lp_bytes();
-    if (!b) return b.error();
-    return std::string(reinterpret_cast<const char*>(b->data()), b->size());
-  }
   Status skip(std::size_t n) {
     if (remaining() < n) return {Errc::truncated, "skip past end"};
     pos_ += n;

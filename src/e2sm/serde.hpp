@@ -32,8 +32,11 @@
 // operations are no-ops. Only E2AP declarations use ranged(), the one
 // source of encoder errors; e2ap::Codec::encode returns them, while
 // sm_encode asserts there are none. Every decoding vec() rejects a count
-// the payload left cannot hold before the count drives reserve() or a
-// loop, and reserves no more bytes than the payload left (or 4 KiB).
+// the payload left cannot hold, and a decoder charges each list's storage
+// (count * sizeof(T)) and each string's bytes to one budget, 16x its input
+// + 3 KiB, before it allocates them (DESIGN.md §6); a list over budget is
+// malformed. Nested decoders (FLAT's RAW lists, PROTO's submessages) draw
+// on their parent's budget.
 #pragma once
 
 #include <algorithm>
@@ -56,6 +59,10 @@ namespace flexric::e2sm {
 /// payloads use a uvarint, E2AP's FLAT lists a u32.
 enum class ListCount : std::uint8_t { uvarint, u32 };
 
+/// The error message of a decode that would allocate past decode_budget().
+inline constexpr const char* kOverBudget =
+    "decode exceeds its allocation budget";
+
 /// The default element codec of vec() and body().
 struct FieldFn {
   template <typename A, typename T>
@@ -76,6 +83,10 @@ constexpr bool in_range(const T& v, std::uint64_t lo, std::uint64_t hi) {
 template <typename D>
 class Archive {
  public:
+  Archive() = default;
+  /// A decoder's allocation budget (decode_budget()).
+  explicit Archive(std::size_t budget) : budget_(budget) {}
+
   template <typename T>
   void field(T& v) {
     using U = std::remove_const_t<T>;
@@ -103,6 +114,15 @@ class Archive {
   }
 
   [[nodiscard]] bool ok() const noexcept { return status_.is_ok(); }
+  /// Bytes this decoder may still allocate.
+  [[nodiscard]] std::size_t budget_left() const noexcept { return budget_; }
+
+  /// What a decode of `input` bytes may allocate for lists, strings and
+  /// octet strings: DESIGN.md §6's 16x its input + 4 KiB, less 1 KiB for
+  /// the error Status a failing decode copies up its nested decoders.
+  static constexpr std::size_t decode_budget(std::size_t input) {
+    return 16 * input + 3072;
+  }
   [[nodiscard]] Status status() const { return status_; }
   void fail(Errc c, const char* msg) {
     if (ok()) status_ = Status{c, msg};
@@ -127,28 +147,49 @@ class Archive {
   void merge(const Status& s) {
     if (ok() && !s.is_ok()) status_ = s;
   }
-  /// The one list-count guard: `room` is the most elements the payload left
-  /// can hold, given each element's smallest encoding.
-  bool check_count(std::uint64_t n, std::uint64_t room) {
-    if (n <= room) return true;
-    fail(Errc::malformed, "list count exceeds payload");
-    return false;
+  /// The one list guard. `room` is the most elements the payload left can
+  /// hold, given each element's smallest encoding; the list's storage,
+  /// n * `elem_bytes`, is then charged to the budget, so vec() reserves the
+  /// count once.
+  bool check_list(std::uint64_t n, std::uint64_t room,
+                  std::size_t elem_bytes) {
+    if (n > room) {
+      fail(Errc::malformed, "list count exceeds payload");
+      return false;
+    }
+    return charge(n * elem_bytes);
+  }
+  /// A decoded string or octet string, charged with what copying it out
+  /// allocates: a string past its inline capacity takes exactly size + 1
+  /// when constructed (assign() would round its capacity up).
+  void take(std::string& v, BytesView b) {
+    static const std::size_t kInline = std::string().capacity();
+    if (charge(b.size() > kInline ? b.size() + 1 : 0))
+      v = std::string(reinterpret_cast<const char*>(b.data()), b.size());
+  }
+  void take(Buffer& v, BytesView b) {
+    if (charge(b.size())) v.assign(b.begin(), b.end());
+  }
+  /// The same from a reader's Result, whose error is recorded instead.
+  template <typename S>
+  void take(S& v, const Result<BytesView>& b) {
+    if (accept(b)) take(v, *b);
   }
   void check_range(bool in) {
     if (!in) fail(Errc::out_of_range, "value out of range");
   }
-  /// How many of a list's `n` elements vec() reserves up front: no more
-  /// bytes than the payload left, or 4 KiB when less is left. check_count
-  /// counts a byte per element, but an element takes sizeof(T) in memory;
-  /// push_back grows the list past the reservation as elements decode.
-  template <typename T>
-  static std::size_t reservation(std::uint64_t n, std::size_t payload_bytes) {
-    constexpr std::size_t kFloorBytes = 4096;
-    const std::size_t cap = std::max(payload_bytes, kFloorBytes) / sizeof(T);
-    return static_cast<std::size_t>(std::min<std::uint64_t>(n, cap));
-  }
+  std::size_t budget_ = 0;
 
  private:
+  bool charge(std::uint64_t bytes) {
+    if (bytes <= budget_) {
+      budget_ -= bytes;
+      return true;
+    }
+    fail(Errc::malformed, kOverBudget);
+    return false;
+  }
+
   Status status_;
 };
 
@@ -214,13 +255,15 @@ template <ListCount kCount = ListCount::uvarint>
 class RawDec : public Archive<RawDec<kCount>> {
   using Base = Archive<RawDec>;
   using Base::accept;
-  using Base::check_count;
   using Base::get;
+  using Base::take;
 
  public:
   using Base::field;
   using Base::ok;
-  explicit RawDec(BytesView b) : r_(b) {}
+  explicit RawDec(BytesView b) : RawDec(b, Base::decode_budget(b.size())) {}
+  /// A nested list's decoder, drawing on its parent's budget.
+  RawDec(BytesView b, std::size_t budget) : Base(budget), r_(b) {}
   void u8(std::uint8_t& v) { get(r_.u8(), v); }
   void u16(std::uint16_t& v) { get(r_.u16(), v); }
   void u32(std::uint32_t& v) { get(r_.u32(), v); }
@@ -238,11 +281,8 @@ class RawDec : public Archive<RawDec<kCount>> {
     u8(b);
     v = static_cast<E>(b);
   }
-  void str(std::string& v) { get(r_.lp_string(), v); }
-  void bytes(Buffer& v) {
-    auto b = r_.lp_bytes();
-    if (accept(b)) v.assign(b->begin(), b->end());
-  }
+  void str(std::string& v) { take(v, r_.lp_bytes()); }
+  void bytes(Buffer& v) { take(v, r_.lp_bytes()); }
   template <typename T>
   void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
     field(v);
@@ -263,9 +303,10 @@ class RawDec : public Archive<RawDec<kCount>> {
   void vec(std::vector<T>& v, F elem = {}) {
     auto n = kCount == ListCount::u32 ? widen(r_.u32()) : r_.uvarint();
     // Every RAW element is at least one byte.
-    if (!accept(n) || !check_count(*n, r_.remaining())) return;
+    if (!accept(n) || !this->check_list(*n, r_.remaining(), sizeof(T)))
+      return;
     v.clear();
-    v.reserve(this->template reservation<T>(*n, r_.remaining()));
+    v.reserve(static_cast<std::size_t>(*n));
     for (std::uint64_t i = 0; i < *n && ok(); ++i) {
       T e{};
       elem(*this, e);
@@ -329,7 +370,7 @@ class PerEnc : public Archive<PerEnc> {
 // @view_of(the encoded message passed to the constructor)
 class PerDec : public Archive<PerDec> {
  public:
-  explicit PerDec(BytesView b) : r_(b) {}
+  explicit PerDec(BytesView b) : Archive(decode_budget(b.size())), r_(b) {}
   void u8(std::uint8_t& v) { get(r_.constrained(0, 0xFF), v); }
   void u16(std::uint16_t& v) { get(r_.constrained(0, 0xFFFF), v); }
   void u32(std::uint32_t& v) { get(r_.constrained(0, 0xFFFFFFFF), v); }
@@ -343,8 +384,8 @@ class PerDec : public Archive<PerDec> {
     u8(b);
     v = static_cast<E>(b);
   }
-  void str(std::string& v) { get(r_.str(), v); }
-  void bytes(Buffer& v) { get(r_.octets(), v); }
+  void str(std::string& v) { take(v, r_.octet_view()); }
+  void bytes(Buffer& v) { take(v, r_.octet_view()); }
   template <typename T>
   void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
     get(r_.constrained(lo, hi), v);
@@ -365,10 +406,11 @@ class PerDec : public Archive<PerDec> {
     auto n = r_.length();
     // Every PER element but a bool is at least one octet's worth of bits.
     constexpr std::size_t kMinBits = std::is_same_v<T, bool> ? 1 : 8;
-    if (!accept(n) || !check_count(*n, r_.bits_remaining() / kMinBits))
+    if (!accept(n) ||
+        !check_list(*n, r_.bits_remaining() / kMinBits, sizeof(T)))
       return;
     v.clear();
-    v.reserve(reservation<T>(*n, r_.bits_remaining() / 8));
+    v.reserve(*n);
     for (std::size_t i = 0; i < *n && ok(); ++i) {
       T e{};
       elem(*this, e);
@@ -439,12 +481,13 @@ class FlatDec : public Archive<FlatDec<kCount>> {
   using Base = Archive<FlatDec>;
   using Base::accept;
   using Base::get;
+  using Base::take;
 
  public:
   using Base::field;
   using Base::ok;
   /// Validates the table header; a bad one fails every later read.
-  explicit FlatDec(BytesView wire) {
+  explicit FlatDec(BytesView wire) : Base(Base::decode_budget(wire.size())) {
     auto v = FlatView::parse(wire);
     if (accept(v)) v_ = *v;
   }
@@ -461,14 +504,9 @@ class FlatDec : public Archive<FlatDec<kCount>> {
     u8(b);
     v = static_cast<E>(b);
   }
-  void str(std::string& v) {
-    auto s = v_.var_string();
-    if (accept(s)) v.assign(s->data(), s->size());
-  }
-  void bytes(Buffer& v) {
-    auto b = v_.var_bytes();
-    if (accept(b)) v.assign(b->begin(), b->end());
-  }
+  // Var fields may alias one region; the budget bounds the copies anyway.
+  void str(std::string& v) { take(v, v_.var_bytes()); }
+  void bytes(Buffer& v) { take(v, v_.var_bytes()); }
   template <typename T>
   void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
     field(v);
@@ -490,8 +528,9 @@ class FlatDec : public Archive<FlatDec<kCount>> {
   void vec(std::vector<T>& v, F elem = {}) {
     auto raw = v_.var_bytes();
     if (!accept(raw)) return;
-    RawDec<kCount> dec(*raw);
+    RawDec<kCount> dec(*raw, this->budget_);
     dec.vec(v, elem);
+    this->budget_ = dec.budget_left();
     this->merge(dec.status());
   }
 
@@ -556,7 +595,9 @@ class ProtoEnc : public Archive<ProtoEnc> {
 // @view_of(the encoded message passed to the constructor)
 class ProtoDec : public Archive<ProtoDec> {
  public:
-  explicit ProtoDec(BytesView b) : r_(b) {}
+  explicit ProtoDec(BytesView b) : ProtoDec(b, decode_budget(b.size())) {}
+  /// A submessage's decoder, drawing on its parent's budget.
+  ProtoDec(BytesView b, std::size_t budget) : Archive(budget), r_(b) {}
   void u8(std::uint8_t& v) { varint_into(v); }
   void u16(std::uint16_t& v) { varint_into(v); }
   void u32(std::uint32_t& v) { varint_into(v); }
@@ -582,11 +623,11 @@ class ProtoDec : public Archive<ProtoDec> {
   }
   void str(std::string& v) {
     auto f = expect(ProtoWireType::len);
-    if (f) v = ProtoReader::as_string(*f);
+    if (f) take(v, f->bytes);
   }
   void bytes(Buffer& v) {
     auto f = expect(ProtoWireType::len);
-    if (f) v.assign(f->bytes.begin(), f->bytes.end());
+    if (f) take(v, f->bytes);
   }
   template <typename T>
   void vec(std::vector<T>& v) {
@@ -595,10 +636,11 @@ class ProtoDec : public Archive<ProtoDec> {
     BufReader cr(countf->bytes);
     auto n = cr.uvarint();
     // Every element is a field of its own: a tag and a length, two bytes.
-    if (!accept(n) || !check_count(*n, r_.remaining() / 2)) return;
+    if (!accept(n) || !check_list(*n, r_.remaining() / 2, sizeof(T)))
+      return;
     std::uint32_t num = countf->number;
     v.clear();
-    v.reserve(reservation<T>(*n, r_.remaining()));
+    v.reserve(static_cast<std::size_t>(*n));
     for (std::uint64_t i = 0; i < *n && ok(); ++i) {
       auto f = next_field();
       if (!f) return;
@@ -606,10 +648,8 @@ class ProtoDec : public Archive<ProtoDec> {
         fail(Errc::malformed, "repeated field interrupted");
         return;
       }
-      ProtoDec child(f->bytes);
       T e{};
-      child.field(e);
-      merge(child.status());
+      decode_child(f->bytes, e);
       v.push_back(std::move(e));
     }
   }
@@ -624,10 +664,8 @@ class ProtoDec : public Archive<ProtoDec> {
     }
     auto f = expect(ProtoWireType::len);
     if (!f) return;
-    ProtoDec child(f->bytes);
     T e{};
-    child.field(e);
-    merge(child.status());
+    decode_child(f->bytes, e);
     v = std::move(e);
   }
 
@@ -646,6 +684,13 @@ class ProtoDec : public Archive<ProtoDec> {
       return std::nullopt;
     }
     return f;
+  }
+  template <typename T>
+  void decode_child(BytesView b, T& e) {
+    ProtoDec child(b, budget_);
+    child.field(e);
+    budget_ = child.budget_left();
+    merge(child.status());
   }
   template <typename T>
   void varint_into(T& v) {

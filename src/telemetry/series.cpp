@@ -26,15 +26,17 @@ std::size_t SeriesLayout::bytes_per_series() const noexcept {
                                   sizeof(std::uint32_t);
 }
 
-TimeSeries::TimeSeries(const SeriesLayout& layout)
-    : layout_(layout), bytes_(fixed_bytes(layout)) {
-  raw_.resize(layout_.raw_capacity);
-  for (auto [tier, cap] : {std::pair{&tier1_, layout_.tier1_capacity},
-                           std::pair{&tier2_, layout_.tier2_capacity}}) {
-    FLEXRIC_ASSERT(cap <= UINT32_MAX / kDenseWords,
+TimeSeries::TimeSeries(const SeriesLayout& layout,
+                       std::pmr::memory_resource* mem)
+    : layout_(layout),
+      raw_(layout.raw_capacity, mem),
+      bytes_(fixed_bytes(layout)),
+      tier1_(layout.tier1_capacity, mem),
+      tier2_(layout.tier2_capacity, mem) {
+  for (Tier* tier : {&tier1_, &tier2_}) {
+    FLEXRIC_ASSERT(tier->slots.size() <= UINT32_MAX / kDenseWords,
                    "tier capacity overflows the run arena's word index");
-    tier->cap = static_cast<std::uint32_t>(cap);
-    tier->slots = std::make_unique<RollupSlot[]>(cap);
+    tier->cap = static_cast<std::uint32_t>(tier->slots.size());
   }
 }
 

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <memory_resource>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -141,7 +142,11 @@ class TimeSeries {
   static constexpr std::size_t kDenseWords = QuantileSketch::kBuckets / 2;
   static_assert(QuantileSketch::kBuckets % 2 == 0 && kMaxRuns < kDenseWords);
 
-  explicit TimeSeries(const SeriesLayout& layout);
+  /// The raw ring and both slot rings come from `mem` (a store passes its
+  /// Slab); the run arenas always come from the default heap.
+  explicit TimeSeries(
+      const SeriesLayout& layout,
+      std::pmr::memory_resource* mem = std::pmr::new_delete_resource());
 
   /// Record one sample. Allocates only when a close outgrows its tier's run
   /// arena (grow_arena(), @coldpath): a few times per series, never past
@@ -177,7 +182,9 @@ class TimeSeries {
  private:
   /// One tier's closed rollups: a slot ring and its FIFO run arena.
   struct Tier {
-    std::unique_ptr<RollupSlot[]> slots;
+    Tier(std::size_t capacity, std::pmr::memory_resource* mem)
+        : slots(capacity, mem) {}
+    std::pmr::vector<RollupSlot> slots;
     std::unique_ptr<std::uint32_t[]> arena;
     std::uint32_t cap = 0;   ///< slots
     std::uint32_t head = 0;  ///< index of the oldest slot
@@ -198,7 +205,7 @@ class TimeSeries {
   // Everything push() touches first, so a sample costs few cache lines.
   SeriesLayout layout_;
 
-  std::vector<RawSample> raw_;
+  std::pmr::vector<RawSample> raw_;
   std::size_t raw_head_ = 0;
   std::size_t raw_size_ = 0;
   std::uint64_t total_samples_ = 0;

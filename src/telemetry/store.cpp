@@ -115,7 +115,7 @@ const TelemetryStore::Slot* TelemetryStore::ensure_series(RowKey key,
       return nullptr;
     }
   }
-  series_bytes_ += lru_.emplace_back(cfg_.layout, key).ts.bytes();
+  series_bytes_ += lru_.emplace_back(cfg_.layout, key, &slab_).ts.bytes();
   row = &rows_[key];
   return &row->slots.emplace_back(Slot{m, std::prev(lru_.end())});
 }

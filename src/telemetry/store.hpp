@@ -22,12 +22,19 @@
 // rejects the sample with Errc::capacity. Samples for existing series are
 // never dropped.
 //
+// Series memory: each series' list node, raw ring and slot rings come from
+// the store's Slab (slab.hpp), which packs every block of one size densely
+// on 2 MiB huge-page chunks and reuses an evicted series' blocks. The run
+// arenas and the row table stay on the default heap. memory_bytes() counts
+// what the series hold, not the slab's chunk slack.
+//
 // All methods run on the reactor thread (single-threaded by the SDK's
 // contract); queries return copies, so the caller owns the result.
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <string_view>
@@ -37,6 +44,7 @@
 #include "common/affinity.hpp"
 #include "common/result.hpp"
 #include "telemetry/series.hpp"
+#include "telemetry/slab.hpp"
 
 namespace flexric::telemetry {
 
@@ -188,6 +196,9 @@ class TelemetryStore {
   [[nodiscard]] std::uint64_t total_samples() const noexcept {
     return total_samples_;
   }
+  /// Where the series live (slab.hpp); memory_bytes() does not count its
+  /// unused chunk bytes.
+  [[nodiscard]] const Slab& series_memory() const noexcept { return slab_; }
 
   /// Flight recorder: bounded JSON snapshot of every series (info + the
   /// newest `max_raw_per_series` raw samples) for post-mortems.
@@ -204,11 +215,12 @@ class TelemetryStore {
   struct Series {
     TimeSeries ts;
     RowKey row;
-    Series(const SeriesLayout& l, RowKey r) : ts(l), row(r) {}
+    Series(const SeriesLayout& l, RowKey r, std::pmr::memory_resource* mem)
+        : ts(l, mem), row(r) {}
   };
   struct Slot {
     Metric metric;
-    std::list<Series>::iterator series;
+    std::pmr::list<Series>::iterator series;
   };
   struct Row {
     std::vector<Slot> slots;  ///< creation order
@@ -236,7 +248,9 @@ class TelemetryStore {
   std::size_t per_series_cost_ = 0;
   std::size_t series_bytes_ = 0;  ///< sum of every series' bytes()
   std::unordered_map<RowKey, Row> rows_;
-  std::list<Series> lru_;  ///< every series, least recently written first
+  Slab slab_;  ///< list nodes, raw rings and slot rings; outlives lru_
+  /// Every series, least recently written first.
+  std::pmr::list<Series> lru_{&slab_};
   std::uint64_t evictions_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t total_samples_ = 0;

@@ -155,10 +155,10 @@ Status TcpTransport::flush_write() {
 }
 
 void TcpTransport::update_epoll_mask() {
-  if (fd_ < 0) return;
-  std::uint32_t mask = EPOLLIN;
-  if (tx_off_ < txbuf_.size()) mask |= EPOLLOUT;
-  (void)reactor_.mod_fd(fd_, mask);
+  const bool want = tx_off_ < txbuf_.size();
+  if (fd_ < 0 || want == write_armed_) return;  // no epoll_ctl per flush
+  write_armed_ = want;
+  (void)reactor_.mod_fd(fd_, want ? EPOLLIN | EPOLLOUT : EPOLLIN);
 }
 
 void TcpTransport::on_events(std::uint32_t events) {

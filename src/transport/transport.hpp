@@ -118,6 +118,8 @@ class TcpTransport final : public MsgTransport {
   [[nodiscard]] std::size_t pending_tx_bytes() const noexcept {
     return txbuf_.size() - tx_off_;
   }
+  /// True while EPOLLOUT is armed: a backlog is waiting for the socket.
+  [[nodiscard]] bool write_armed() const noexcept { return write_armed_; }
 
   /// Cap on the frame length a peer may claim (see
   /// FrameAssembler::set_max_frame): adversarial multi-GB length fields are
@@ -142,6 +144,7 @@ class TcpTransport final : public MsgTransport {
   std::size_t tx_off_ = 0;  // bytes of txbuf_ already written
   std::size_t max_tx_buf_ = kDefaultMaxTxBuffer;
   bool flush_scheduled_ = false;
+  bool write_armed_ = false;  // EPOLLOUT in the fd's epoll mask
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

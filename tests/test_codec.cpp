@@ -119,7 +119,7 @@ TEST(Per, OctetStringRoundTrip) {
   w.octets(payload);
   Buffer buf = w.take();
   PerReader r(buf);
-  auto got = r.octets();
+  auto got = r.octet_view();
   ASSERT_TRUE(got.is_ok());
   EXPECT_EQ(Buffer(got->begin(), got->end()), payload);
 }
@@ -131,7 +131,9 @@ TEST(Per, StringAndRealAndPresence) {
   w.presence({true, false, true});
   Buffer buf = w.take();
   PerReader r(buf);
-  EXPECT_EQ(*r.str(), "flexric");
+  auto s = r.octet_view();
+  ASSERT_TRUE(s.is_ok());
+  EXPECT_EQ(std::string(s->begin(), s->end()), "flexric");
   EXPECT_DOUBLE_EQ(*r.real(), 2.71828);
   auto pres = r.presence(3);
   ASSERT_TRUE(pres.is_ok());
@@ -144,7 +146,7 @@ TEST(Per, TruncatedInputFailsCleanly) {
   Buffer buf = w.take();
   buf.resize(buf.size() / 2);
   PerReader r(buf);
-  EXPECT_FALSE(r.octets().is_ok());
+  EXPECT_FALSE(r.octet_view().is_ok());
 }
 
 class PerFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -223,7 +225,9 @@ TEST(Flat, ScalarAndVarRoundTrip) {
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(Buffer(b->begin(), b->end()), blob);
   EXPECT_DOUBLE_EQ(*view->f64(), 1.5);
-  EXPECT_EQ(*view->var_string(), "zero-copy");
+  auto s = view->var_bytes();
+  ASSERT_TRUE(s.is_ok());
+  EXPECT_EQ(std::string(s->begin(), s->end()), "zero-copy");
 }
 
 TEST(Flat, VarBytesAreViewsIntoWire) {
@@ -316,7 +320,7 @@ TEST(Proto, FieldRoundTrip) {
   auto f2 = r.next();
   EXPECT_EQ(ProtoReader::as_i64(*f2), -5);
   auto f3 = r.next();
-  EXPECT_EQ(ProtoReader::as_string(*f3), "proto");
+  EXPECT_EQ(std::string(f3->bytes.begin(), f3->bytes.end()), "proto");
   auto f4 = r.next();
   EXPECT_DOUBLE_EQ(*ProtoReader::as_f64(*f4), 9.75);
   auto f5 = r.next();

@@ -124,7 +124,9 @@ TEST(Buffer, LengthPrefixedBytesAndStrings) {
   w.lp_bytes(payload);
   Buffer buf = w.take();
   BufReader r(buf);
-  EXPECT_EQ(*r.lp_string(), "hello");
+  auto s = r.lp_bytes();
+  ASSERT_TRUE(s.is_ok());
+  EXPECT_EQ(std::string(s->begin(), s->end()), "hello");
   auto b = r.lp_bytes();
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(Buffer(b->begin(), b->end()), payload);

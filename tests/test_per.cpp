@@ -619,5 +619,51 @@ TEST(ProtoAlloc, InflatedUeCountIsBounded) {
   }
 }
 
+// A well-formed list of the smallest elements: an empty name is one byte on
+// the wire in PER and FLAT but a 32 B std::string in memory. Each decode
+// must stay within the budget, by decoding the list or by refusing it as
+// malformed; before the list was charged by its size in memory, 16,000
+// names took 1,008,000 B from a 16,002 B PER frame.
+constexpr std::size_t kEmptyNames = 16000;
+
+/// Bytes allocated while `decode` runs; a refusal must be malformed.
+template <typename R>
+std::size_t bytes_allocated_within_budget(const std::function<R()>& decode,
+                                          std::size_t input) {
+  alloc_counter::arm();
+  const R r = decode();
+  const std::size_t bytes = alloc_counter::disarm();
+  if (!r) {
+    EXPECT_EQ(r.error().code, Errc::malformed);
+  }
+  EXPECT_LE(bytes, alloc_budget(input));
+  return bytes;
+}
+
+TEST(ListAlloc, EmptyMetricNamesStayWithinBudget) {
+  e2sm::kpm::ActionDef def;
+  def.metric_names.resize(kEmptyNames);
+  for (WireFormat f : {WireFormat::per, WireFormat::flat, WireFormat::proto}) {
+    SCOPED_TRACE(wire_format_name(f));
+    const Buffer wire = e2sm::sm_encode(def, f);
+    bytes_allocated_within_budget<Result<e2sm::kpm::ActionDef>>(
+        [&] { return e2sm::sm_decode<e2sm::kpm::ActionDef>(wire, f); },
+        wire.size());
+  }
+}
+
+TEST(ListAlloc, E2apEmptyComponentNamesStayWithinBudget) {
+  e2ap::NodeConfigUpdateAck ack;
+  ack.trans_id = 3;
+  ack.accepted_components.resize(kEmptyNames);
+  for (const e2ap::Codec* codec : {&e2ap::per_codec(), &e2ap::flat_codec()}) {
+    SCOPED_TRACE(wire_format_name(codec->format()));
+    auto wire = codec->encode(Msg{ack});
+    ASSERT_TRUE(wire.is_ok());
+    bytes_allocated_within_budget<Result<Msg>>(
+        [&] { return codec->decode(*wire); }, wire->size());
+  }
+}
+
 }  // namespace
 }  // namespace flexric

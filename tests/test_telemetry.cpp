@@ -667,6 +667,81 @@ TEST(Store, DumpJsonIsValidAndBounded) {
 }
 
 // ---------------------------------------------------------------------------
+// Slab: the store's series memory
+// ---------------------------------------------------------------------------
+
+/// A default-layout store with room for exactly `n_series`.
+StoreConfig store_for(std::size_t n_series) {
+  StoreConfig cfg;
+  cfg.memory_budget = sizeof(TelemetryStore) +
+                      n_series * (cfg.layout.bytes_per_series() +
+                                  TelemetryStore::kSeriesOverhead);
+  return cfg;
+}
+
+Status record_new_series(TelemetryStore& store, std::uint32_t i) {
+  return store.record(SeriesKey{1, i, Metric::mac_cqi},
+                      static_cast<Nanos>(i) * kMilli, 1.0);
+}
+
+// New series churn through ten times what the store holds. Every admission
+// past the first fill evicts a series and reuses its blocks, so the slab
+// stops growing then, and it never reserves more than the budget plus one
+// 2 MiB chunk per block size.
+TEST(Slab, ChurnReusesEvictedBlocks) {
+  constexpr std::uint32_t kCapacity = 512;
+  TelemetryStore store(store_for(kCapacity));
+  const Slab& slab = store.series_memory();
+  std::size_t after_fill = 0;
+  for (std::uint32_t i = 0; i < 10 * kCapacity; ++i) {
+    ASSERT_TRUE(record_new_series(store, i).is_ok());
+    if (i + 1 == kCapacity) after_fill = slab.reserved_bytes();
+    if (i >= kCapacity) {
+      ASSERT_EQ(slab.reserved_bytes(), after_fill) << i;
+    }
+  }
+  EXPECT_EQ(store.num_series(), kCapacity);
+  EXPECT_EQ(store.evictions(), 9u * kCapacity);
+  EXPECT_EQ(slab.block_sizes(), 3u);  // list node, raw ring, slot ring
+  EXPECT_GT(after_fill, 3 * Slab::kHugePage);  // the fill reached 2 MiB chunks
+  EXPECT_LE(slab.reserved_bytes(),
+            store.memory_budget() + slab.block_sizes() * Slab::kHugePage);
+}
+
+// A store of a handful of series stays small: chunks start at 64 KiB and
+// only grow geometrically.
+TEST(Slab, SmallStoreReservesLittle) {
+  TelemetryStore store(StoreConfig{});
+  for (std::uint32_t i = 0; i < 10; ++i)
+    ASSERT_TRUE(record_new_series(store, i).is_ok());
+  const Slab& slab = store.series_memory();
+  EXPECT_EQ(store.num_series(), 10u);
+  EXPECT_EQ(slab.block_sizes(), 3u);
+  EXPECT_LT(slab.reserved_bytes(), slab.block_sizes() * Slab::kHugePage / 4);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// The slab poisons what it does not hand out, so a pointer kept past its
+// series' eviction still faults under ASan: a new series takes fresh bump
+// blocks first, leaving the evicted ones poisoned on their free lists.
+TEST(SlabDeathTest, UseAfterEvictFaults) {
+  TelemetryStore store(store_for(2));
+  ASSERT_TRUE(record_new_series(store, 0).is_ok());
+  const TimeSeries* stale = store.find(SeriesKey{1, 0, Metric::mac_cqi});
+  ASSERT_NE(stale, nullptr);
+  ASSERT_TRUE(record_new_series(store, 1).is_ok());
+  ASSERT_TRUE(record_new_series(store, 2).is_ok());  // evicts series 0
+  ASSERT_EQ(store.evictions(), 1u);
+  EXPECT_DEATH(
+      {
+        volatile std::uint64_t n = stale->total_samples();
+        static_cast<void>(n);
+      },
+      "use-after-poison");
+}
+#endif
+
+// ---------------------------------------------------------------------------
 // Ingest adapter
 // ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 // Reactor + transport tests: timers, tasks, local pipes, framed TCP.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -318,6 +320,66 @@ TEST(TcpTransport, SendBufferExhaustionSurfacesCapacity) {
       pump_until(pair.reactor, [&] { return received == accepted; }));
   EXPECT_EQ(pair.client_side->pending_tx_bytes(), 0u);
   EXPECT_TRUE(pair.client_side->send(chunk).is_ok());
+}
+
+/// A connected loopback TCP pair {client, server} with a small client send
+/// buffer and a small server receive buffer, set before the handshake so the
+/// advertised window is small too.
+std::pair<int, int> narrow_tcp_pair() {
+  const int small = 4096;
+  const int lfd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_EQ(setsockopt(lfd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof addr;
+  EXPECT_EQ(bind(lfd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  EXPECT_EQ(listen(lfd, 1), 0);
+  EXPECT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int client = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_EQ(setsockopt(client, SOL_SOCKET, SO_SNDBUF, &small, sizeof small),
+            0);
+  EXPECT_EQ(connect(client, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  const int server = accept(lfd, nullptr, nullptr);
+  close(lfd);
+  return {client, server};
+}
+
+// Partial writes: with the socket buffers full and the peer not read,
+// a flush leaves a backlog and arms EPOLLOUT; once the peer drains, the
+// backlog goes out and EPOLLOUT is disarmed. The mask is only re-armed
+// when it changes, not on every flush.
+TEST(TcpTransport, PartialWritesArmEpolloutUntilBacklogDrains) {
+  const auto [client_fd, server_fd] = narrow_tcp_pair();
+  ASSERT_GE(server_fd, 0);
+  Reactor client_reactor;
+  Reactor server_reactor;
+  TcpTransport client(client_reactor, client_fd);
+  TcpTransport server(server_reactor, server_fd);
+  int received = 0;
+  std::size_t received_bytes = 0;
+  server.set_on_message([&](StreamId, BytesView b) {
+    received++;
+    received_bytes += b.size();
+  });
+
+  constexpr int kFrames = 64;
+  const Buffer frame(8 * 1024, 0x5A);
+  for (int i = 0; i < kFrames; ++i)
+    ASSERT_TRUE(client.send(frame).is_ok());
+  EXPECT_FALSE(client.write_armed());
+  pump(client_reactor);  // the corked flush hits EAGAIN; the peer reads nothing
+  EXPECT_GT(client.pending_tx_bytes(), 0u);
+  EXPECT_TRUE(client.write_armed());
+
+  for (int i = 0; i < 20000 && received < kFrames; ++i) {
+    server_reactor.run_once(0);
+    client_reactor.run_once(1);
+  }
+  EXPECT_EQ(received, kFrames);
+  EXPECT_EQ(received_bytes, kFrames * frame.size());
+  EXPECT_EQ(client.pending_tx_bytes(), 0u);
+  EXPECT_FALSE(client.write_armed());
 }
 
 // ---------------------------------------------------------------------------

@@ -486,8 +486,19 @@ void pass_hotpath_alloc(const Corpus& corpus, const FileUnit& f,
       bool calls = after_targs < end && is_punct(t[after_targs], "(");
       if (calls && !member &&
           (s_ == "malloc" || s_ == "calloc" || s_ == "realloc" ||
-           s_ == "strdup")) {
+           s_ == "strdup" || s_ == "aligned_alloc" ||
+           s_ == "posix_memalign")) {
         report(sp, t[i].line, "malloc-family", s_);
+        continue;
+      }
+      if (calls && !member && s_ == "mmap") {
+        report(sp, t[i].line, "mmap", s_);
+        continue;
+      }
+      // `mem->allocate(n, align)`, `alloc.allocate(n)`: a memory resource
+      // or allocator handing out a block.
+      if (calls && member && s_ == "allocate") {
+        report(sp, t[i].line, "resource-allocate", "." + s_ + "()");
         continue;
       }
       if (calls && (s_ == "make_unique" || s_ == "make_shared" ||
