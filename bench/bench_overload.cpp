@@ -77,13 +77,8 @@ class StormFn final : public agent::RanFunction {
 };
 
 struct StormResult {
-  std::uint64_t emitted = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t rate_shed = 0;
-  std::uint64_t flood_shed = 0;
-  std::uint64_t queue_shed = 0;
-  std::uint64_t agent_shed = 0;
-  std::uint64_t quarantines = 0;
+  IndicationFlow flow;
+  ShardLedger ledger;
   Nanos ctrl_p50 = 0;
   Nanos ctrl_p99 = 0;
   std::uint64_t ctrl_failures = 0;
@@ -175,23 +170,18 @@ StormResult run_storm(int mult) {
   advance(reactor, clock, 500 * kMilli);  // settle: drain queues
   const Nanos cpu1 = thread_cpu_now();
 
-  const server::E2Server::Stats& st = ric.stats();
-  r.emitted = flooder.fn->emitted + victim.fn->emitted;
-  r.delivered = flooder.delivered + victim.delivered;
-  r.rate_shed = st.rate_shed;
-  r.flood_shed = st.flood_shed;
-  r.queue_shed = st.queue_shed;
-  r.agent_shed = flooder.agent->stats().indications_shed +
-                 victim.agent->stats().indications_shed;
-  r.quarantines = st.flood_quarantines;
+  r.flow.emitted = flooder.fn->emitted + victim.fn->emitted;
+  r.flow.delivered = flooder.delivered + victim.delivered;
+  r.flow.agent_shed = flooder.agent->stats().indications_shed +
+                      victim.agent->stats().indications_shed;
+  r.ledger = ric.ledger();
   std::sort(latencies.begin(), latencies.end());
   if (!latencies.empty()) {
     r.ctrl_p50 = latencies[(latencies.size() - 1) / 2];
     r.ctrl_p99 = latencies[(latencies.size() - 1) * 99 / 100];
   }
   r.cpu_percent = cpu_percent(cpu1 - cpu0, 800 * kMilli);
-  FLEXRIC_ASSERT(r.emitted == r.delivered + r.agent_shed + r.rate_shed +
-                                  r.flood_shed + r.queue_shed,
+  FLEXRIC_ASSERT(reconcile(r.flow, r.ledger).closes(),
                  "bench: shed ledger does not reconcile");
   return r;
 }
@@ -213,24 +203,27 @@ int main(int argc, char** argv) {
                "shed%", "ctrl p50 us", "ctrl p99 us", "cpu%"});
   for (int mult : {1, 4, 16, 64}) {
     StormResult r = run_storm(mult);
+    const IndicationFlow& f = r.flow;
+    // run_storm asserted the ledger closes: all that was not delivered was
+    // shed, server- or agent-side.
     const double shed_pct =
-        r.emitted > 0 ? 100.0 *
-                            static_cast<double>(r.rate_shed + r.flood_shed +
-                                                r.queue_shed + r.agent_shed) /
-                            static_cast<double>(r.emitted)
+        f.emitted > 0 ? 100.0 * static_cast<double>(f.emitted - f.delivered) /
+                            static_cast<double>(f.emitted)
                       : 0.0;
     table.row("mult=" + std::to_string(mult) + "x",
-              {std::to_string(r.emitted), std::to_string(r.delivered),
+              {std::to_string(f.emitted), std::to_string(f.delivered),
                fmt("%.1f", shed_pct),
                fmt("%.1f", static_cast<double>(r.ctrl_p50) / 1000.0),
                fmt("%.1f", static_cast<double>(r.ctrl_p99) / 1000.0),
                fmt("%.1f", r.cpu_percent)});
     const std::string p = "m" + std::to_string(mult) + ".";
-    json.add(p + "emitted", static_cast<double>(r.emitted), "frames");
-    json.add(p + "delivered", static_cast<double>(r.delivered), "frames");
-    json.add(p + "rate_shed", static_cast<double>(r.rate_shed), "frames");
-    json.add(p + "queue_shed", static_cast<double>(r.queue_shed), "frames");
-    json.add(p + "agent_shed", static_cast<double>(r.agent_shed), "frames");
+    json.add(p + "emitted", static_cast<double>(f.emitted), "frames");
+    json.add(p + "delivered", static_cast<double>(f.delivered), "frames");
+    json.add(p + "rate_shed", static_cast<double>(r.ledger.rate_shed),
+             "frames");
+    json.add(p + "queue_shed", static_cast<double>(r.ledger.queue_shed),
+             "frames");
+    json.add(p + "agent_shed", static_cast<double>(f.agent_shed), "frames");
     json.add(p + "shed_pct", shed_pct, "%");
     json.add(p + "ctrl_p50", static_cast<double>(r.ctrl_p50) / 1000.0, "us");
     json.add(p + "ctrl_p99", static_cast<double>(r.ctrl_p99) / 1000.0, "us");
@@ -239,7 +232,7 @@ int main(int argc, char** argv) {
       std::printf("  WARNING: mult=%d saw %llu control failures\n", mult,
                   static_cast<unsigned long long>(r.ctrl_failures));
   }
-  note("shed% is server rate/queue sheds + agent-side sheds over emitted;");
+  note("shed% is server-side plus agent-side indication sheds over emitted;");
   note("the ledger reconciles exactly: emitted == delivered + all sheds");
 
   return json.write(json_path_from_args(argc, argv)) ? 0 : 1;

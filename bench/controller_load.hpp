@@ -34,15 +34,6 @@ struct ControllerLoad {
   std::uint64_t indications = 0;
   std::uint64_t retained_bytes = 0;  ///< controller data-structure footprint
   std::uint64_t rss_delta = 0;       ///< process RSS growth over the run
-  /// Overload-protection ledger (DESIGN.md §11); all zero for the baseline
-  /// controllers and when the admission layer is disabled.
-  std::uint64_t dispatched = 0;
-  std::uint64_t rate_shed = 0;
-  std::uint64_t flood_shed = 0;
-  std::uint64_t queue_shed = 0;
-  std::uint64_t flood_quarantines = 0;
-  std::uint64_t ctrls_deadline_expired = 0;
-  std::uint64_t agent_reported_sheds = 0;
 };
 
 inline WireFormat e2_format(ControllerKind kind) {
@@ -225,14 +216,6 @@ inline ControllerLoad run_controller_load(
         for (const auto& [fn, raw] : db.raw) retained += raw.size();
       }
       out.retained_bytes = retained;
-      const server::E2Server::Stats& st = ric.stats();
-      out.dispatched = st.dispatched;
-      out.rate_shed = st.rate_shed;
-      out.flood_shed = st.flood_shed;
-      out.queue_shed = st.queue_shed;
-      out.flood_quarantines = st.flood_quarantines;
-      out.ctrls_deadline_expired = st.ctrls_deadline_expired;
-      out.agent_reported_sheds = st.agent_reported_sheds;
     }
   });
 

@@ -2,6 +2,8 @@
 # CI entry point: the tier-1 matrix, twice — plus an opt-in chaos soak.
 #
 #   1. plain        RelWithDebInfo, the configuration ROADMAP.md documents,
+#                   built with CMAKE_COMPILE_WARNING_AS_ERROR=ON, so a new
+#                   compiler warning fails the leg;
 #                   then bench_telemetry: it exits 1 when the store's memory
 #                   passes its budget, a sample is dropped, or the tight-
 #                   budget leg evicts nothing, so every run exercises the
@@ -223,7 +225,7 @@ if [ "$supervise" -eq 1 ]; then
 fi
 
 run_leg plain "$root/build" \
-  -DFLEXRIC_SANITIZE=""
+  -DFLEXRIC_SANITIZE="" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 echo "==== [plain] bench_telemetry (budget, drops, eviction under a tight budget) ===="
 "$root/build/bench/bench_telemetry"
 # The full analysis lane (tree scan, json, suppression audit, fixtures,

@@ -16,6 +16,7 @@
 
 #include "agent/ran_function.hpp"
 #include "codec/wire.hpp"
+#include "common/counters.hpp"
 #include "common/overload.hpp"
 #include "common/rng.hpp"
 #include "e2ap/codec.hpp"
@@ -62,7 +63,7 @@ class E2Agent final : public AgentServices {
     e2ap::GlobalNodeId node_id;
     WireFormat e2ap_format = WireFormat::per;  ///< O-RAN default: ASN.1
     /// Bounded indication buffering + shed reporting (see OverloadConfig).
-    OverloadConfig overload;
+    OverloadConfig overload{};
   };
 
   E2Agent(Reactor& reactor, Config cfg);
@@ -146,6 +147,24 @@ class E2Agent final : public AgentServices {
     std::uint64_t indications_flushed = 0;  ///< drained from buffer to wire
     std::uint64_t indications_shed = 0;     ///< dropped by the bounded buffer
     std::uint64_t shed_reports_tx = 0;      ///< NodeConfigUpdate reports sent
+
+    template <typename F, CounterGroup<Stats> S>
+    friend constexpr void counters(F&& f, S& s) {
+      f("msgs_rx", s.msgs_rx);
+      f("msgs_tx", s.msgs_tx);
+      f("bytes_rx", s.bytes_rx);
+      f("bytes_tx", s.bytes_tx);
+      f("reconnects", s.reconnects);
+      f("reconnect_failures", s.reconnect_failures);
+      f("heartbeats_tx", s.heartbeats_tx);
+      f("heartbeat_misses", s.heartbeat_misses);
+      f("setup_replays", s.setup_replays);
+      f("indications_tx", s.indications_tx);
+      f("indications_queued", s.indications_queued);
+      f("indications_flushed", s.indications_flushed);
+      f("indications_shed", s.indications_shed);
+      f("shed_reports_tx", s.shed_reports_tx);
+    }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

@@ -136,7 +136,6 @@ void E2Termination::on_xapp_message(std::uint64_t conn, BytesView wire) {
   std::uint64_t agent = 0;
   std::visit(
       [&](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
         if constexpr (requires {
                         requires std::is_same_v<
                             std::decay_t<decltype(m.ran_function_id)>,

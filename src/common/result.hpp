@@ -78,6 +78,10 @@ class [[nodiscard]] Result {
   Result(T value) : v_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
   Result(Error err) : v_(std::move(err)) {}  // NOLINT(google-explicit-constructor)
   Result(Errc code, std::string msg = {}) : v_(Error{code, std::move(msg)}) {}
+  /// Builds the value in place from `args` (no temporary T to move from).
+  template <typename... A>
+  explicit Result(std::in_place_t, A&&... args)
+      : v_(std::in_place_index<0>, std::forward<A>(args)...) {}
 
   [[nodiscard]] bool is_ok() const noexcept { return std::holds_alternative<T>(v_); }
   explicit operator bool() const noexcept { return is_ok(); }

@@ -2,24 +2,18 @@
 //
 // Each shard owns one 64-byte-aligned slot of atomics and is the only
 // writer of that slot; any thread may read and sum. A per-slot seqlock
-// keeps the 12-field ledger image untorn across fields (the write side is
-// wait-free, the read side retries only while a publish is in flight). This
-// is the merge-on-query half of the sharded stats story: shards publish their
+// keeps the ledger image untorn across fields (the write side is wait-free,
+// the read side retries only while a publish is in flight). This is the
+// merge-on-query half of the sharded stats story: shards publish their
 // E2Server ledger into their slot from their own reactor thread (a timer in
 // ShardedE2Server), and a northbound query sums the slots — no lock, no
 // shared hot-path state, no cross-shard cache-line ping-pong (each slot is
 // alone on its line).
 //
-// The slot layout mirrors the overload ledger of DESIGN.md §11 so the exact
-// reconciliation invariant survives sharding:
-//
-//   sum(emitted) == sum(delivered) + sum(agent_shed) + sum(server_shed)
-//
-// where server_shed = rate_shed + flood_shed + queue_shed + fanout_shed
-// + orphan_indications (fanout_shed counts cross-shard indication-ring
-// overflow, orphan_indications counts indications with no matching
-// subscription — a bounded ring or a restarted shard sheds with a counted
-// reason, never silently, same rule as BoundedQueue).
+// The ledger's fields are declared once, in ServerLedger / ShardLedger and
+// their counters() walks (common/counters.hpp). The slot and the sum derive
+// from the walks, and reconcile() below states each of the two ledger
+// equations of DESIGN.md §11 once, for tests, benches and soaks alike.
 //
 // Sanctioned use of <atomic> outside src/transport/ (flexric-analyze's
 // thread-primitives rule, kThreadOkFiles): publishing counters across shard
@@ -27,49 +21,108 @@
 // keeps the rest of the SDK atomic-free.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 
+#include "common/counters.hpp"
+
 namespace flexric {
 
-/// Plain (non-atomic) image of one slot / of the summed board.
-struct ShardLedger {
+/// The §11 counters an E2Server keeps and its shard ledger carries.
+/// E2Server::Stats derives from it, so the server's hot path stays
+/// `stats_.x++` and its ledger image is a slice copy.
+struct ServerLedger {
   std::uint64_t msgs_rx = 0;
-  std::uint64_t dispatched = 0;
+  std::uint64_t dispatched = 0;       ///< frames decoded+dispatched
   std::uint64_t indications_rx = 0;
-  std::uint64_t rate_shed = 0;
-  std::uint64_t flood_shed = 0;
-  std::uint64_t queue_shed = 0;
-  std::uint64_t queued = 0;          ///< admitted, not yet dispatched
-  std::uint64_t agent_reported_sheds = 0;
-  std::uint64_t fanout_shed = 0;     ///< cross-shard indication ring overflow
-  std::uint64_t reply_shed = 0;      ///< northbound reply ring overflow
-  std::uint64_t dir_events_lost = 0; ///< directory event ring overflow (triggers resync)
-  std::uint64_t orphan_indications = 0;  ///< no matching subscription (counted drop)
+  std::uint64_t rate_shed = 0;        ///< DATA shed by the rate limiter
+  std::uint64_t flood_shed = 0;       ///< DATA dropped while flood-quarantined
+  std::uint64_t queue_shed = 0;       ///< ingest queue sheds, both classes
+  std::uint64_t data_queue_shed = 0;  ///< the DATA (indication) share of it
+  std::uint64_t agent_reported_sheds = 0;  ///< sum of peer shed reports
+  /// Indications for a subscription this server does not know — e.g. an
+  /// agent flushing its buffered backlog against a restarted shard whose
+  /// replacement allocated different request ids (DESIGN.md §15). A
+  /// counted drop, never a silent one.
+  std::uint64_t orphan_indications = 0;
 
-  [[nodiscard]] std::uint64_t server_shed() const noexcept {
-    return rate_shed + flood_shed + queue_shed + fanout_shed +
-           orphan_indications;
-  }
+  bool operator==(const ServerLedger&) const = default;
 
-  /// Field-wise accumulate — the merge-on-query sum, and how the ledger of
-  /// a torn-down shard incarnation folds into its retired total (§15).
-  void add(const ShardLedger& v) noexcept {
-    msgs_rx += v.msgs_rx;
-    dispatched += v.dispatched;
-    indications_rx += v.indications_rx;
-    rate_shed += v.rate_shed;
-    flood_shed += v.flood_shed;
-    queue_shed += v.queue_shed;
-    queued += v.queued;
-    agent_reported_sheds += v.agent_reported_sheds;
-    fanout_shed += v.fanout_shed;
-    reply_shed += v.reply_shed;
-    dir_events_lost += v.dir_events_lost;
-    orphan_indications += v.orphan_indications;
+  template <typename F, CounterGroup<ServerLedger> S>
+  friend constexpr void counters(F&& f, S& s) {
+    f("msgs_rx", s.msgs_rx);
+    f("dispatched", s.dispatched);
+    f("indications_rx", s.indications_rx);
+    f("rate_shed", s.rate_shed);
+    f("flood_shed", s.flood_shed);
+    f("queue_shed", s.queue_shed);
+    f("data_queue_shed", s.data_queue_shed);
+    f("agent_reported_sheds", s.agent_reported_sheds);
+    f("orphan_indications", s.orphan_indications);
   }
 };
+
+/// Plain (non-atomic) image of one slot / of the summed board: the server's
+/// counters plus the ingest backlog and what only the shard relay sees.
+struct ShardLedger : ServerLedger {
+  std::uint64_t queued = 0;           ///< admitted, not yet dispatched
+  std::uint64_t fanout_shed = 0;      ///< cross-shard indication ring overflow
+  std::uint64_t reply_shed = 0;       ///< northbound reply ring overflow
+  std::uint64_t dir_events_lost = 0;  ///< directory event ring overflow (resync)
+
+  bool operator==(const ShardLedger&) const = default;
+
+  template <typename F, CounterGroup<ShardLedger> S>
+  friend constexpr void counters(F&& f, S& s) {
+    counters(f, as_base<ServerLedger>(s));
+    f("queued", s.queued);
+    f("fanout_shed", s.fanout_shed);
+    f("reply_shed", s.reply_shed);
+    f("dir_events_lost", s.dir_events_lost);
+  }
+};
+
+static_assert(sizeof(ShardLedger) ==
+                  counter_count<ShardLedger>() * sizeof(std::uint64_t),
+              "every ShardLedger member needs its counters() line");
+
+/// Both sides of a ledger equation; it closes when they are equal.
+struct Balance {
+  std::uint64_t in = 0;   ///< entered the ledger
+  std::uint64_t out = 0;  ///< delivered, shed with a counted reason, or held
+  [[nodiscard]] bool closes() const noexcept { return in == out; }
+};
+
+/// Server ledger (DESIGN.md §11): every frame received was handed to its
+/// handler, shed with a counted reason, or still waits in the ingest queue.
+[[nodiscard]] inline Balance reconcile(const ShardLedger& l) noexcept {
+  const std::uint64_t shed = l.rate_shed + l.flood_shed + l.queue_shed;
+  return {l.msgs_rx, l.dispatched + shed + l.queued};
+}
+
+/// What the far ends of the indication path saw: the RAN functions, the
+/// agents' buffers and the subscribers.
+struct IndicationFlow {
+  std::uint64_t emitted = 0;     ///< by RAN functions
+  std::uint64_t delivered = 0;   ///< to subscribers
+  std::uint64_t buffered = 0;    ///< still in agent-side buffers
+  std::uint64_t agent_shed = 0;  ///< shed or refused agent-side
+  std::uint64_t supervisor_shed = 0;  ///< lost to a shard rebuild (§15)
+};
+
+/// Indication ledger (DESIGN.md §11): every indication emitted was
+/// delivered, is still buffered agent-side, or was shed with a counted
+/// reason. Server-side only DATA-class sheds count: a CONTROL frame the
+/// ingest queue shed was never an indication.
+[[nodiscard]] inline Balance reconcile(const IndicationFlow& f,
+                                       const ShardLedger& l) noexcept {
+  const std::uint64_t server_shed = l.rate_shed + l.flood_shed +
+      l.data_queue_shed + l.fanout_shed + l.orphan_indications;
+  return {f.emitted, f.delivered + f.buffered + f.agent_shed +
+                         f.supervisor_shed + server_shed};
+}
 
 /// Cache-aligned per-shard liveness board (DESIGN.md §15).
 ///
@@ -134,7 +187,7 @@ class ShardHealthBoard {
 
 class ShardCounterBoard {
  public:
-  /// One cache line per shard; the shard index is the only writer key.
+  /// Cache-line aligned per shard; the shard index is the only writer key.
   struct alignas(64) Slot {
     /// Seqlock sequence: odd while the owning shard is mid-publish. Readers
     /// retry until they observe the same even value before and after the
@@ -144,18 +197,8 @@ class ShardCounterBoard {
     /// epoch is dropped, so a force-restarted shard's leaked corpse loop
     /// cannot scribble over the replacement's slot if it ever un-wedges.
     std::atomic<std::uint64_t> epoch{0};
-    std::atomic<std::uint64_t> msgs_rx{0};
-    std::atomic<std::uint64_t> dispatched{0};
-    std::atomic<std::uint64_t> indications_rx{0};
-    std::atomic<std::uint64_t> rate_shed{0};
-    std::atomic<std::uint64_t> flood_shed{0};
-    std::atomic<std::uint64_t> queue_shed{0};
-    std::atomic<std::uint64_t> queued{0};
-    std::atomic<std::uint64_t> agent_reported_sheds{0};
-    std::atomic<std::uint64_t> fanout_shed{0};
-    std::atomic<std::uint64_t> reply_shed{0};
-    std::atomic<std::uint64_t> dir_events_lost{0};
-    std::atomic<std::uint64_t> orphan_indications{0};
+    std::array<std::atomic<std::uint64_t>, counter_count<ShardLedger>()>
+        fields{};
   };
 
   explicit ShardCounterBoard(std::uint32_t shards)
@@ -185,20 +228,12 @@ class ShardCounterBoard {
     const std::uint64_t s0 = s.seq.load(std::memory_order_relaxed);
     s.seq.store(s0 + 1, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
-    s.msgs_rx.store(v.msgs_rx, std::memory_order_relaxed);
-    s.dispatched.store(v.dispatched, std::memory_order_relaxed);
-    s.indications_rx.store(v.indications_rx, std::memory_order_relaxed);
-    s.rate_shed.store(v.rate_shed, std::memory_order_relaxed);
-    s.flood_shed.store(v.flood_shed, std::memory_order_relaxed);
-    s.queue_shed.store(v.queue_shed, std::memory_order_relaxed);
-    s.queued.store(v.queued, std::memory_order_relaxed);
-    s.agent_reported_sheds.store(v.agent_reported_sheds,
-                                 std::memory_order_relaxed);
-    s.fanout_shed.store(v.fanout_shed, std::memory_order_relaxed);
-    s.reply_shed.store(v.reply_shed, std::memory_order_relaxed);
-    s.dir_events_lost.store(v.dir_events_lost, std::memory_order_relaxed);
-    s.orphan_indications.store(v.orphan_indications,
-                               std::memory_order_relaxed);
+    std::size_t i = 0;
+    counters(
+        [&](std::string_view, std::uint64_t x) {
+          s.fields[i++].store(x, std::memory_order_relaxed);
+        },
+        v);
     s.seq.store(s0 + 2, std::memory_order_release);
   }
 
@@ -210,20 +245,12 @@ class ShardCounterBoard {
     for (;;) {
       const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
       if (s1 & 1) continue;
-      v.msgs_rx = s.msgs_rx.load(std::memory_order_relaxed);
-      v.dispatched = s.dispatched.load(std::memory_order_relaxed);
-      v.indications_rx = s.indications_rx.load(std::memory_order_relaxed);
-      v.rate_shed = s.rate_shed.load(std::memory_order_relaxed);
-      v.flood_shed = s.flood_shed.load(std::memory_order_relaxed);
-      v.queue_shed = s.queue_shed.load(std::memory_order_relaxed);
-      v.queued = s.queued.load(std::memory_order_relaxed);
-      v.agent_reported_sheds =
-          s.agent_reported_sheds.load(std::memory_order_relaxed);
-      v.fanout_shed = s.fanout_shed.load(std::memory_order_relaxed);
-      v.reply_shed = s.reply_shed.load(std::memory_order_relaxed);
-      v.dir_events_lost = s.dir_events_lost.load(std::memory_order_relaxed);
-      v.orphan_indications =
-          s.orphan_indications.load(std::memory_order_relaxed);
+      std::size_t i = 0;
+      counters(
+          [&](std::string_view, std::uint64_t& x) {
+            x = s.fields[i++].load(std::memory_order_relaxed);
+          },
+          v);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) == s1) return v;
     }
@@ -240,7 +267,7 @@ class ShardCounterBoard {
   /// Merge-on-query: the global ledger is the field-wise sum of the slots.
   [[nodiscard]] ShardLedger sum() const noexcept {
     ShardLedger total;
-    for (std::uint32_t i = 0; i < shards_; ++i) total.add(read(i));
+    for (std::uint32_t i = 0; i < shards_; ++i) add_counters(total, read(i));
     return total;
   }
 

@@ -156,7 +156,7 @@ class Parser {
       obj[std::move(*key)] = std::move(*v);
       skip_ws();
       if (consume(',')) continue;
-      if (consume('}')) return Json(std::move(obj));
+      if (consume('}')) return Result<Json>(std::in_place, std::move(obj));
       return Error{Errc::malformed, "expected ',' or '}'"};
     }
   }

@@ -163,7 +163,7 @@ Json SlicingIApp::status_to_json(const e2sm::slice::IndicationMsg& msg) {
     o["share"] = s.conf.nvs.capacity_share;
     o["share_used"] = s.prb_share_used;
     o["num_ues"] = static_cast<double>(s.num_ues);
-    slices.push_back(Json(std::move(o)));
+    slices.emplace_back(std::move(o));
   }
   root["slices"] = Json(std::move(slices));
   JsonArray assoc;
@@ -171,7 +171,7 @@ Json SlicingIApp::status_to_json(const e2sm::slice::IndicationMsg& msg) {
     JsonObject o;
     o["rnti"] = static_cast<double>(a.rnti);
     o["slice"] = static_cast<double>(a.slice_id);
-    assoc.push_back(Json(std::move(o)));
+    assoc.emplace_back(std::move(o));
   }
   root["assoc"] = Json(std::move(assoc));
   return Json(std::move(root));
@@ -190,7 +190,7 @@ void SlicingIApp::mount_rest(HttpServer& http) {
       o["nb_id"] = static_cast<double>(info->node.nb_id);
       auto st = status_.find(id);
       if (st != status_.end()) o["slicing"] = status_to_json(st->second);
-      agents.push_back(Json(std::move(o)));
+      agents.emplace_back(std::move(o));
     }
     root["agents"] = Json(std::move(agents));
     JsonArray ue_list;
@@ -199,7 +199,7 @@ void SlicingIApp::mount_rest(HttpServer& http) {
       o["rnti"] = static_cast<double>(rnti);
       o["plmn"] = static_cast<double>(info.plmn);
       o["s_nssai"] = static_cast<double>(info.s_nssai);
-      ue_list.push_back(Json(std::move(o)));
+      ue_list.emplace_back(std::move(o));
     }
     root["ues"] = Json(std::move(ue_list));
     resp.body = Json(std::move(root)).dump();

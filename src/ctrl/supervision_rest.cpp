@@ -42,11 +42,11 @@ void SupervisionRest::handle_supervision(const HttpRequest&,
                                          HttpResponse& resp) const {
   const ShardSupervisor::Stats& st = ric_.supervisor().stats();
   JsonObject o;
-  o["supervisor_polls"] = st.polls;
-  o["supervisor_degradations"] = st.degradations;
-  o["supervisor_quarantines"] = st.quarantines;
-  o["supervisor_restarts"] = st.restarts;
-  o["supervisor_recoveries"] = st.recoveries;
+  counters(
+      [&o](std::string_view k, std::uint64_t v) {
+        o["supervisor_" + std::string(k)] = v;
+      },
+      st);
   o["mttr_last_ms"] = st.mttr_last / kMilli;
   o["supervisor_shed"] = ric_.supervisor_shed();
   o["queries_failed"] = ric_.queries_failed();

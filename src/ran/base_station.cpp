@@ -56,7 +56,7 @@ BaseStation::Bearer& BaseStation::get_or_create_bearer(UeCtx& ue,
                                                         std::uint8_t drb) {
   auto bit = ue.bearers.find(drb);
   if (bit == ue.bearers.end()) {
-    bit = ue.bearers.emplace(drb, Bearer{}).first;
+    bit = ue.bearers.try_emplace(drb).first;
     bit->second.tc.set_drop_handler([this, rnti](const Packet& p) {
       if (on_drop_) on_drop_(rnti, p);
     });

@@ -357,12 +357,16 @@ void E2Server::on_message(AgentId id, BytesView wire) {
   }
   // Delta accounting, not the push() result: under drop_oldest / fair the
   // newcomer is admitted by evicting an already-queued frame, and that
-  // eviction must land in queue_shed too or msgs_rx stops reconciling.
+  // eviction must land in queue_shed too or msgs_rx stops reconciling. A
+  // push only ever evicts from its own class, so a DATA push's delta is
+  // all indications.
   const std::uint64_t shed_before = ingest_.shed();
   (void)ingest_.push(is_data ? overload::MsgClass::data
                              : overload::MsgClass::control,
                      id, Buffer(wire.begin(), wire.end()));
-  stats_.queue_shed += ingest_.shed() - shed_before;
+  const std::uint64_t shed = ingest_.shed() - shed_before;
+  stats_.queue_shed += shed;
+  if (is_data) stats_.data_queue_shed += shed;
   schedule_drain();
 }
 

@@ -19,6 +19,7 @@
 
 #include "codec/wire.hpp"
 #include "common/overload.hpp"
+#include "common/shard_stats.hpp"
 #include "e2ap/codec.hpp"
 #include "server/ran_db.hpp"
 #include "transport/resilience.hpp"
@@ -125,7 +126,7 @@ class E2Server {
       return rc;
     }();
     /// Overload protection; OFF by default (see OverloadConfig).
-    OverloadConfig overload;
+    OverloadConfig overload{};
     /// Sharded deployments (DESIGN.md §13): this server instance is shard
     /// `shard` of `num_shards`. With num_shards > 1 the server enforces the
     /// GlobalNodeId-hash partition at setup time — an agent whose node id
@@ -181,46 +182,51 @@ class E2Server {
     return ctrls_.size();
   }
 
-  struct Stats {
-    std::uint64_t msgs_rx = 0;
+  /// Counters beyond the §11 ledger ones of ServerLedger (DESIGN.md §11).
+  struct Stats : ServerLedger {
     std::uint64_t msgs_tx = 0;
     std::uint64_t bytes_rx = 0;
     std::uint64_t bytes_tx = 0;
-    std::uint64_t indications_rx = 0;
     std::uint64_t heartbeats_rx = 0;   ///< empty RICserviceUpdates acked
     std::uint64_t reconnects = 0;      ///< agents rebound to their old id
     std::uint64_t subs_replayed = 0;
     std::uint64_t quarantines = 0;
     std::uint64_t expiries = 0;
     std::uint64_t ctrls_failed_on_loss = 0;
-    // -- overload accounting (DESIGN.md §11). Exact-reconciliation
-    //    invariant, checked by the storm harness:
-    //      msgs_rx == dispatched + rate_shed + flood_shed + queue_shed
-    //                 + ingest_queued()
-    std::uint64_t dispatched = 0;      ///< frames decoded+dispatched
-    std::uint64_t rate_shed = 0;       ///< DATA shed by the rate limiter
-    std::uint64_t flood_shed = 0;      ///< DATA dropped while flood-quarantined
-    std::uint64_t queue_shed = 0;      ///< shed by the bounded ingest queue
     std::uint64_t flood_quarantines = 0;
     std::uint64_t flood_recoveries = 0;
     std::uint64_t ctrls_deadline_expired = 0;
-    std::uint64_t agent_reported_sheds = 0;  ///< sum of peer shed reports
     /// Setup requests from agents whose GlobalNodeId hashes to another
     /// shard (sharded deployments only; the connection is closed).
     std::uint64_t misrouted = 0;
-    /// Indications for a subscription this server does not know — e.g. an
-    /// agent flushing its buffered backlog against a restarted shard whose
-    /// replacement allocated different request ids (DESIGN.md §15). A
-    /// counted drop, never a silent one: the global reconciliation
-    /// invariant folds this in as a server-side shed.
-    std::uint64_t orphan_indications = 0;
+
+    template <typename F, CounterGroup<Stats> S>
+    friend constexpr void counters(F&& f, S& s) {
+      counters(f, as_base<ServerLedger>(s));
+      f("msgs_tx", s.msgs_tx);
+      f("bytes_rx", s.bytes_rx);
+      f("bytes_tx", s.bytes_tx);
+      f("heartbeats_rx", s.heartbeats_rx);
+      f("reconnects", s.reconnects);
+      f("subs_replayed", s.subs_replayed);
+      f("quarantines", s.quarantines);
+      f("expiries", s.expiries);
+      f("ctrls_failed_on_loss", s.ctrls_failed_on_loss);
+      f("flood_quarantines", s.flood_quarantines);
+      f("flood_recoveries", s.flood_recoveries);
+      f("ctrls_deadline_expired", s.ctrls_deadline_expired);
+      f("misrouted", s.misrouted);
+    }
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
-  /// Frames admitted but not yet dispatched (overload mode only).
-  [[nodiscard]] std::size_t ingest_queued() const noexcept {
-    return ingest_.size();
+  /// This server's §11 ledger image: its counters plus the ingest backlog.
+  [[nodiscard]] ShardLedger ledger() const {
+    ShardLedger l;
+    static_cast<ServerLedger&>(l) = stats_;
+    l.queued = ingest_.size();
+    return l;
   }
+
   /// Per-class ingest queue accounting (overload mode only).
   [[nodiscard]] const overload::PriorityQueue<Buffer>& ingest_queue()
       const noexcept {

@@ -74,26 +74,14 @@ class ShardedE2Server::Relay final : public IApp {
     try_resync();
   }
 
-  void note_reply_shed() { reply_shed_++; }
+  void note_reply_shed() { own_.reply_shed++; }
 
   /// One untorn ledger image of this shard right now. Shard-thread normally;
   /// the home thread may call it during a manual-mode rebuild harvest (the
   /// corpse loop is provably not running — one thread owns every domain).
   [[nodiscard]] ShardLedger collect() const {
-    const E2Server::Stats& st = server_->stats();
-    ShardLedger v;
-    v.msgs_rx = st.msgs_rx;
-    v.dispatched = st.dispatched;
-    v.indications_rx = st.indications_rx;
-    v.rate_shed = st.rate_shed;
-    v.flood_shed = st.flood_shed;
-    v.queue_shed = st.queue_shed;
-    v.queued = server_->ingest_queued();
-    v.agent_reported_sheds = st.agent_reported_sheds;
-    v.fanout_shed = fanout_shed_;
-    v.reply_shed = reply_shed_;
-    v.dir_events_lost = events_lost_;
-    v.orphan_indications = st.orphan_indications;
+    ShardLedger v = server_->ledger();
+    add_counters(v, own_);
     return v;
   }
 
@@ -122,7 +110,7 @@ class ShardedE2Server::Relay final : public IApp {
   }
 
   void note_event_lost() {
-    events_lost_++;
+    own_.dir_events_lost++;
     // Board update rides the next publish tick; home reacts by requesting
     // a snapshot resync, so a lossy spell degrades to a bounded staleness
     // window, never to silent divergence.
@@ -151,7 +139,7 @@ class ShardedE2Server::Relay final : public IApp {
       fi.agent = global_agent_id(shard_, local);
       fi.ind = ind;
       // @producer(shard-fanout)
-      if (!cell_.fanout->try_push(std::move(fi)).is_ok()) fanout_shed_++;
+      if (!cell_.fanout->try_push(std::move(fi)).is_ok()) own_.fanout_shed++;
     };
     (void)server_->subscribe(local, fanout_fn_, fanout_trigger_,
                              fanout_actions_, std::move(cbs));
@@ -166,9 +154,9 @@ class ShardedE2Server::Relay final : public IApp {
   std::uint16_t fanout_fn_ = 0;
   Buffer fanout_trigger_;
   std::vector<e2ap::Action> fanout_actions_;
-  std::uint64_t fanout_shed_ = 0;
-  std::uint64_t reply_shed_ = 0;
-  std::uint64_t events_lost_ = 0;
+  /// The ring overflows only the relay sees (fanout_shed, reply_shed,
+  /// dir_events_lost); collect() adds them to the server's ledger.
+  ShardLedger own_;
   bool pending_resync_ = false;
   // Guards the periodic publish timer: the shard reactor outlives its
   // servers during teardown, so the timer may fire after the Relay is gone.
@@ -444,7 +432,7 @@ void ShardedE2Server::rebuild_shard(std::uint32_t shard) {
   // exact across the recovery.
   supervisor_shed_ += harvest.queued;
   harvest.queued = 0;
-  retired_ledgers_[shard].add(harvest);
+  add_counters(retired_ledgers_[shard], harvest);
   // Retire the slot's writer incarnation before the teardown: a leaked
   // corpse loop that un-wedges later publishes into the void.
   board_.bump_epoch(shard);

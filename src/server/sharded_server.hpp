@@ -17,9 +17,7 @@
 // Stats are merge-on-query too: each shard publishes its overload ledger
 // into its cache-aligned ShardCounterBoard slot from its own thread (a
 // periodic timer), and global_ledger() sums the slots, so the §11
-// reconciliation invariant survives sharding:
-//
-//   sum(emitted) == sum(delivered) + sum(agent_shed) + sum(server_shed)
+// reconciliation (reconcile() in common/shard_stats.hpp) survives sharding.
 //
 // Ownership vocabulary: per-shard state is @affine(shard) — the runtime
 // guard is the shard reactor's named DomainAffinity ("shard0", ...), the
@@ -141,12 +139,12 @@ class ShardedE2Server {
   /// shards' publish timers have fired after quiescence.
   [[nodiscard]] ShardLedger global_ledger() const noexcept {
     ShardLedger total = board_.sum();
-    for (const ShardLedger& r : retired_ledgers_) total.add(r);
+    for (const ShardLedger& r : retired_ledgers_) add_counters(total, r);
     return total;
   }
   [[nodiscard]] ShardLedger shard_ledger(std::uint32_t shard) const noexcept {
     ShardLedger v = board_.read(shard);
-    v.add(retired_ledgers_[shard]);
+    add_counters(v, retired_ledgers_[shard]);
     return v;
   }
   /// Harvested ledger of `shard`'s dead incarnations alone (home thread).

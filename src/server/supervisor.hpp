@@ -64,8 +64,18 @@ class ShardSupervisor {
     std::uint64_t recoveries = 0;     ///< recovering->healthy edges
     /// Last full quarantined->healthy recovery time (state-machine MTTR;
     /// the bench additionally measures detection->first-redelivered-
-    /// indication). 0 until a recovery completes.
+    /// indication). 0 until a recovery completes. A gauge, not a counter:
+    /// outside the walk.
     Nanos mttr_last = 0;
+
+    template <typename F, CounterGroup<Stats> S>
+    friend constexpr void counters(F&& f, S& s) {
+      f("polls", s.polls);
+      f("degradations", s.degradations);
+      f("quarantines", s.quarantines);
+      f("restarts", s.restarts);
+      f("recoveries", s.recoveries);
+    }
   };
 
   ShardSupervisor(ShardPool& pool, ShardedE2Server& server,

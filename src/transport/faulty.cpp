@@ -13,11 +13,7 @@ FaultyTransport::FaultyTransport(Reactor& reactor,
       rng_(profile_.seed) {
   FLEXRIC_ASSERT(inner_ != nullptr, "FaultyTransport: null inner transport");
   inner_->set_on_message([this](StreamId stream, BytesView msg) {
-    counters_.rx_msgs++;
-    if (partitioned_) {
-      counters_.partition_dropped++;
-      return;
-    }
+    if (partitioned_) return;
     perturb(spec(/*tx=*/false, stream), stream, msg, /*tx_side=*/false);
   });
   inner_->set_on_close([this] {
@@ -58,16 +54,12 @@ Status FaultyTransport::send(BytesView msg, StreamId stream) {
   if (tx_credit_ == 0) {
     // Backpressure injection: surface the same error a capped TcpTransport
     // TX buffer would, so overload code paths are exercised deterministically.
-    counters_.tx_capacity_rejections++;
     return {Errc::capacity, "send buffer full (injected backpressure)"};
   }
   if (tx_credit_ > 0) tx_credit_--;
-  counters_.tx_msgs++;
-  if (partitioned_) {
-    // The link eats the message; the sender cannot tell (that is the point).
-    counters_.partition_dropped++;
-    return Status::ok();
-  }
+  // A partitioned link eats the message; the sender cannot tell (that is
+  // the point).
+  if (partitioned_) return Status::ok();
   perturb(spec(/*tx=*/true, stream), stream, msg, /*tx_side=*/true);
   return Status::ok();
 }
@@ -82,7 +74,6 @@ void FaultyTransport::perturb(const FaultSpec& s, StreamId stream,
     return;
   }
   if (s.drop > 0 && rng_.chance(s.drop)) {
-    counters_.dropped++;
     flush_held(tx_side);
     return;
   }
@@ -90,17 +81,12 @@ void FaultyTransport::perturb(const FaultSpec& s, StreamId stream,
   if (s.corrupt > 0 && !copy.empty() && rng_.chance(s.corrupt)) {
     copy[rng_.bounded(copy.size())] ^=
         static_cast<std::uint8_t>(1 + rng_.bounded(255));
-    counters_.corrupted++;
   }
   int copies = 1;
-  if (s.duplicate > 0 && rng_.chance(s.duplicate)) {
-    counters_.duplicated++;
-    copies = 2;
-  }
+  if (s.duplicate > 0 && rng_.chance(s.duplicate)) copies = 2;
   if (s.reorder > 0 && rng_.chance(s.reorder)) {
     Held& held = tx_side ? held_tx_ : held_rx_;
     if (!held.active) {
-      counters_.reordered++;
       held.active = true;
       held.stream = stream;
       held.msg = std::move(copy);
@@ -126,12 +112,10 @@ void FaultyTransport::perturb(const FaultSpec& s, StreamId stream,
     } else if (s.delay_max > 0) {
       delay = s.delay_max;
     }
-    if (delay > 0) {
-      counters_.delayed++;
+    if (delay > 0)
       emit_later(tx_side, stream, Buffer(copy), delay);
-    } else {
+    else
       emit(tx_side, stream, Buffer(copy));
-    }
   }
   flush_held(tx_side);
 }
@@ -150,10 +134,7 @@ void FaultyTransport::flush_held(bool tx_side) {
 void FaultyTransport::emit(bool tx_side, StreamId stream, Buffer msg) {
   // A partition that started after the message was perturbed/delayed still
   // eats it: in-flight bytes do not survive a cut link.
-  if (partitioned_) {
-    counters_.partition_dropped++;
-    return;
-  }
+  if (partitioned_) return;
   if (tx_side) {
     if (inner_ && inner_->is_open())
       static_cast<void>(inner_->send(msg, stream));

@@ -91,15 +91,6 @@ class FaultyTransport final : public MsgTransport {
   }
   [[nodiscard]] std::int64_t tx_credit() const noexcept { return tx_credit_; }
 
-  /// Observability for assertions.
-  struct Counters {
-    std::uint64_t tx_msgs = 0, rx_msgs = 0;
-    std::uint64_t dropped = 0, duplicated = 0, corrupted = 0, reordered = 0,
-                  delayed = 0, partition_dropped = 0;
-    std::uint64_t tx_capacity_rejections = 0;  ///< sends refused out of credit
-  };
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-
  private:
   using Deliver = std::function<void(StreamId, BytesView)>;
 
@@ -130,7 +121,6 @@ class FaultyTransport final : public MsgTransport {
   };
   Held held_tx_, held_rx_;
 
-  Counters counters_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -27,7 +27,6 @@
 
 #include "agent/agent.hpp"
 #include "common/clock.hpp"
-#include "common/overload.hpp"
 #include "server/sharded_server.hpp"
 #include "server/supervisor.hpp"
 #include "transport/faulty.hpp"
@@ -79,8 +78,17 @@ inline std::uint32_t nb_id_on_shard(
   }
 }
 
-/// Minimal RAN function for shard tests: admits every subscription, counts
-/// and sequences what it emits (the `emitted` side of the global ledger).
+/// A ledger whose every counter reads `x` (seqlock tests: a torn read
+/// shows as two different fields).
+inline ShardLedger uniform_ledger(std::uint64_t x) {
+  ShardLedger v;
+  counters([x](std::string_view, std::uint64_t& f) { f = x; }, v);
+  return v;
+}
+
+/// Minimal RAN function for the storm and shard harnesses: admits every
+/// subscription, counts and sequences what it emits (the `emitted` side of
+/// the indication ledger).
 class ShardStubFn final : public agent::RanFunction {
  public:
   explicit ShardStubFn(std::uint16_t id) {
@@ -129,8 +137,9 @@ class ShardStubFn final : public agent::RanFunction {
   e2ap::RanFunctionItem desc_;
 };
 
-/// Per-shard lifecycle log; entries are shard-local AgentIds, so traces
-/// prefix them with the shard index.
+/// Lifecycle log of one server (the storm and chaos harnesses' server, or
+/// one shard's); entries are server-local AgentIds, so sharded traces prefix
+/// them with the shard index.
 struct ShardEventLog final : server::IApp {
   const char* name() const override { return "shard-event-log"; }
   void on_agent_connected(const server::AgentInfo& info) override {
@@ -414,65 +423,53 @@ struct ShardWorld {
   }
 
   /// Global exact-accounting check across every shard (DESIGN.md §11 ⊗ §13):
-  /// sum(emitted) == sum(delivered) + sum(agent_shed) + sum(server_shed).
+  /// each shard's server ledger closes, and so does the indication ledger
+  /// over the sum of them.
   void expect_global_reconciles() {
-    std::uint64_t emitted = 0, delivered = 0, agent_shed = 0;
+    IndicationFlow flow;
     for (const auto& n : nodes) {
       if (n->shard != n->dialed) continue;  // misrouted: never subscribed
-      emitted += n->fn->emitted;
-      delivered += static_cast<std::uint64_t>(n->indications);
-      agent_shed += n->agent->stats().indications_shed + n->fn->refused;
+      flow.emitted += n->fn->emitted;
+      flow.delivered += static_cast<std::uint64_t>(n->indications);
+      flow.agent_shed += n->agent->stats().indications_shed + n->fn->refused;
     }
-    std::uint64_t server_shed = 0;
+    ShardLedger total;
     for (std::uint32_t i = 0; i < pool.size(); ++i) {
-      const auto& st = ric.shard_server(i).stats();
-      server_shed += st.rate_shed + st.flood_shed +
-                     ric.shard_server(i)
-                         .ingest_queue()
-                         .queue(overload::MsgClass::data)
-                         .stats()
-                         .shed();
-      EXPECT_EQ(st.msgs_rx, st.dispatched + st.rate_shed + st.flood_shed +
-                                st.queue_shed +
-                                ric.shard_server(i).ingest_queued())
-          << "shard " << i << " server ledger does not reconcile";
+      const ShardLedger l = ric.shard_server(i).ledger();
+      const Balance b = reconcile(l);
+      EXPECT_EQ(b.in, b.out) << "shard " << i << " server ledger does not "
+                             << "reconcile: " << counters_text(l);
+      add_counters(total, l);
     }
-    EXPECT_EQ(emitted, delivered + agent_shed + server_shed)
-        << "an indication vanished without a shed counter";
+    const Balance b = reconcile(flow, total);
+    EXPECT_EQ(b.in, b.out) << "an indication vanished without a shed counter: "
+                           << counters_text(total);
   }
 
   /// Global exact-accounting across a supervised world (§11 ⊗ §15): every
   /// indication ever emitted is delivered (cross-shard fan-out at home),
   /// still buffered agent-side, or shed with a counted reason — including
-  /// the sheds supervision itself caused:
-  ///
-  ///   Σemitted == Σdelivered + Σbuffered + Σagent_shed + Σserver_shed
-  ///                          + Σsupervisor_shed
-  ///
-  /// where agent_shed includes sends synchronously refused by a dead link
-  /// (the producer was told: Errc::io during a crash window), server_shed
-  /// spans live AND retired incarnations (global_ledger folds the harvested
-  /// ledgers in), and supervisor_shed counts fan-out parked in a condemned
-  /// ring plus frames stranded in a dead ingest queue. Call at quiescence
-  /// (after settle()).
+  /// sends synchronously refused by a dead link (the producer was told:
+  /// Errc::io during a crash window) and the sheds supervision itself
+  /// caused. global_ledger() spans live AND retired incarnations. Call at
+  /// quiescence (after settle()).
   void expect_supervised_reconciles() {
-    std::uint64_t emitted = 0, agent_shed = 0, buffered = 0, refused = 0;
+    IndicationFlow flow;
+    flow.delivered = fanout_delivered;
+    flow.supervisor_shed = ric.supervisor_shed();
     for (const auto& n : nodes) {
-      emitted += n->fn->emitted;
-      agent_shed += n->agent->stats().indications_shed;
-      refused += n->fn->refused;
+      flow.emitted += n->fn->emitted;
+      flow.agent_shed += n->agent->stats().indications_shed + n->fn->refused;
       if (const auto* q = n->agent->pending_indications(n->ctrl))
-        buffered += q->size();
+        flow.buffered += q->size();
     }
     const ShardLedger g = ric.global_ledger();
     EXPECT_EQ(g.queued, 0u) << "not quiescent: frames still queued";
-    EXPECT_EQ(emitted, fanout_delivered + buffered + agent_shed + refused +
-                           g.server_shed() + ric.supervisor_shed())
-        << "an indication vanished without a shed counter (delivered="
-        << fanout_delivered << " buffered=" << buffered
-        << " agent_shed=" << agent_shed << " refused=" << refused
-        << " server_shed=" << g.server_shed()
-        << " supervisor_shed=" << ric.supervisor_shed() << ")";
+    const Balance b = reconcile(flow, g);
+    EXPECT_EQ(b.in, b.out) << "an indication vanished without a shed counter "
+                           << "(buffered=" << flow.buffered
+                           << " supervisor_shed=" << flow.supervisor_shed
+                           << " " << counters_text(g) << ")";
   }
 
   /// Trace line for double-run determinism: per-shard stats + event logs in
@@ -480,20 +477,16 @@ struct ShardWorld {
   [[nodiscard]] std::string trace() {
     std::ostringstream out;
     for (std::uint32_t i = 0; i < pool.size(); ++i) {
-      const auto& st = ric.shard_server(i).stats();
-      out << "s" << i << "{rx=" << st.msgs_rx << " disp=" << st.dispatched
-          << " rate=" << st.rate_shed << " flood=" << st.flood_shed
-          << " q=" << st.queue_shed << " mis=" << st.misrouted
-          << " rec=" << st.reconnects << " ev=";
+      out << "s" << i << "{" << counters_text(ric.shard_server(i).stats())
+          << " ev=";
       for (const auto& e : events[i]->log) out << e << ";";
       out << "} ";
     }
     out << "dir=" << ric.directory().num_agents()
         << " resyncs=" << ric.directory_resyncs();
     if (supervised_) {
-      const auto& st = ric.supervisor().stats();
-      out << " sup{q=" << st.quarantines << " r=" << st.restarts
-          << " rec=" << st.recoveries << " shed=" << ric.supervisor_shed()
+      out << " sup{" << counters_text(ric.supervisor().stats())
+          << " shed=" << ric.supervisor_shed()
           << " qfail=" << ric.queries_failed()
           << " fan=" << fanout_delivered << " tr=";
       for (const auto& t : transitions) out << t << ";";

@@ -76,7 +76,7 @@ struct World {
       e2ap::GlobalNodeId node, std::shared_ptr<StubFunction> fn) {
     auto ag = std::make_unique<agent::E2Agent>(
         reactor, agent::E2Agent::Config{node, format});
-    if (fn) EXPECT_TRUE(ag->register_function(std::move(fn)).is_ok());
+    if (fn) { EXPECT_TRUE(ag->register_function(std::move(fn)).is_ok()); }
     auto [a_side, s_side] = LocalTransport::make_pair(reactor);
     server.attach(s_side);
     EXPECT_TRUE(ag->add_controller(a_side).is_ok());

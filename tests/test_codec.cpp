@@ -595,8 +595,8 @@ TEST(AdversarialFrames, InflatedCountRejectedByGuard) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, AdversarialFrames, ::testing::ValuesIn(kAdversarialCorpus),
-    [](const ::testing::TestParamInfo<AdversarialCase>& info) {
-      std::string s = info.param.name;
+    [](const ::testing::TestParamInfo<AdversarialCase>& param_info) {
+      std::string s = param_info.param.name;
       for (char& ch : s)
         if (ch == '/') ch = '_';
       return s;

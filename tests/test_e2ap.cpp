@@ -195,8 +195,9 @@ TEST_P(E2apRoundTrip, GarbageInputRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, E2apRoundTrip,
                          ::testing::Values(WireFormat::per, WireFormat::flat),
-                         [](const auto& info) {
-                           return std::string(wire_format_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               wire_format_name(param_info.param));
                          });
 
 TEST(E2apSizes, PerIsMoreCompactThanFlat) {

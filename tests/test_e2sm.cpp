@@ -34,8 +34,9 @@ void expect_roundtrip(const T& msg) {
 class SmFormats : public ::testing::TestWithParam<WireFormat> {};
 INSTANTIATE_TEST_SUITE_P(Formats, SmFormats,
                          ::testing::ValuesIn(kAllFormats),
-                         [](const auto& info) {
-                           return std::string(wire_format_name(info.param));
+                         [](const auto& param_info) {
+                           return std::string(
+                               wire_format_name(param_info.param));
                          });
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ using overload::MsgClass;
 using overload::PriorityQueue;
 using overload::RateLimiter;
 using overload::ShedPolicy;
+using test::advance;
 
 // ---------------------------------------------------------------------------
 // RateLimiter
@@ -219,78 +220,6 @@ TEST(PeekType, MatchesFullDecodeOnBothCodecs) {
 // Storm harness: agents + server on a VirtualClock reactor
 // ---------------------------------------------------------------------------
 
-/// Advance virtual time in small steps, pumping the reactor after each so
-/// timers interleave with deliveries the way real time would.
-void advance(Reactor& reactor, VirtualClock& clock, Nanos dt,
-             Nanos step = kMilli) {
-  while (dt > 0) {
-    Nanos d = dt < step ? dt : step;
-    clock.advance(d);
-    dt -= d;
-    for (int i = 0; i < 8; ++i)
-      if (reactor.run_once(0) == 0) break;
-  }
-}
-
-class StormStub final : public agent::RanFunction {
- public:
-  explicit StormStub(std::uint16_t id) {
-    desc_.id = id;
-    desc_.revision = 1;
-    desc_.name = "STORM-STUB";
-  }
-  [[nodiscard]] const e2ap::RanFunctionItem& descriptor() const override {
-    return desc_;
-  }
-  Result<agent::SubscriptionOutcome> on_subscription(
-      const e2ap::SubscriptionRequest& req, agent::ControllerId) override {
-    last_sub = req;
-    agent::SubscriptionOutcome out;
-    for (const auto& a : req.actions) out.admitted.push_back(a.id);
-    return out;
-  }
-  Status on_subscription_delete(const e2ap::SubscriptionDeleteRequest&,
-                                agent::ControllerId) override {
-    return Status::ok();
-  }
-  Result<Buffer> on_control(const e2ap::ControlRequest& req,
-                            agent::ControllerId) override {
-    controls++;
-    return req.message;
-  }
-  void emit(agent::ControllerId origin) {
-    e2ap::Indication ind;
-    ind.request = last_sub.request;
-    ind.ran_function_id = desc_.id;
-    ind.action_id = 1;
-    ind.sn = emitted;
-    ind.message = {0xAB};
-    emitted++;
-    (void)services_->send_indication(origin, ind);
-  }
-
-  std::uint32_t emitted = 0;
-  int controls = 0;
-  e2ap::SubscriptionRequest last_sub;
-
- private:
-  e2ap::RanFunctionItem desc_;
-};
-
-struct EventLogIApp final : server::IApp {
-  const char* name() const override { return "event-log"; }
-  void on_agent_quarantined(server::AgentId id) override {
-    log.push_back("quarantine:" + std::to_string(id));
-  }
-  void on_agent_reconnected(const server::AgentInfo& info) override {
-    log.push_back("recover:" + std::to_string(info.id));
-  }
-  void on_agent_disconnected(server::AgentId id) override {
-    log.push_back("disconnect:" + std::to_string(id));
-  }
-  std::vector<std::string> log;
-};
-
 /// N agents + one overload-protected server on a VirtualClock reactor; each
 /// agent dials through a clean FaultyTransport so tests can inject partitions
 /// and deterministic TX backpressure (credits).
@@ -302,13 +231,13 @@ struct StormWorld {
     cfg.e2ap_format = WireFormat::flat;
     cfg.overload = ov;
     server = std::make_unique<server::E2Server>(reactor, cfg);
-    events = std::make_shared<EventLogIApp>();
+    events = std::make_shared<test::ShardEventLog>();
     server->add_iapp(events);
   }
 
   struct Node {
     std::unique_ptr<agent::E2Agent> agent;
-    std::shared_ptr<StormStub> fn;
+    std::shared_ptr<test::ShardStubFn> fn;
     std::shared_ptr<FaultyTransport> link;
     agent::ControllerId ctrl = 0;
     server::AgentId id = 0;     ///< server-side AgentId
@@ -321,7 +250,7 @@ struct StormWorld {
   Node& add_agent(std::uint32_t nb_id, agent::OverloadConfig aov = {}) {
     auto n = std::make_unique<Node>();
     Node* np = n.get();
-    n->fn = std::make_shared<StormStub>(200);
+    n->fn = std::make_shared<test::ShardStubFn>(200);
     agent::E2Agent::Config acfg{{1, nb_id, e2ap::NodeType::gnb},
                                 WireFormat::flat, aov};
     n->agent = std::make_unique<agent::E2Agent>(reactor, acfg);
@@ -405,7 +334,7 @@ struct StormWorld {
   VirtualClock clock;
   Reactor reactor;
   std::unique_ptr<server::E2Server> server;
-  std::shared_ptr<EventLogIApp> events;
+  std::shared_ptr<test::ShardEventLog> events;
   std::vector<std::unique_ptr<Node>> nodes;
   std::vector<Nanos> ctrl_latencies;
   int ctrl_failures = 0;
@@ -414,9 +343,9 @@ struct StormWorld {
 /// The ledger that makes drops "visible": every message the server ever saw
 /// is dispatched, shed with a counted reason, or still queued.
 void expect_server_reconciles(StormWorld& w) {
-  const auto& st = w.server->stats();
-  EXPECT_EQ(st.msgs_rx, st.dispatched + st.rate_shed + st.flood_shed +
-                            st.queue_shed + w.server->ingest_queued());
+  const ShardLedger l = w.server->ledger();
+  const Balance b = reconcile(l);
+  EXPECT_EQ(b.in, b.out) << counters_text(l);
   EXPECT_TRUE(w.server->ingest_queue().reconciles());
 }
 
@@ -502,10 +431,10 @@ TEST(Storm, DisabledOverloadKeepsInlineDispatchBehavior) {
   for (int i = 0; i < 50; ++i) n.fn->emit(n.ctrl);
   advance(w.reactor, w.clock, 20 * kMilli);
   EXPECT_EQ(n.indications, 50);
-  const auto& st = w.server->stats();
-  EXPECT_EQ(st.rate_shed + st.flood_shed + st.queue_shed, 0u);
-  EXPECT_EQ(st.msgs_rx, st.dispatched);  // everything dispatched inline
-  EXPECT_EQ(w.server->ingest_queued(), 0u);
+  // Everything dispatched inline: with the ledger closed, nothing was shed
+  // or left queued.
+  expect_server_reconciles(w);
+  EXPECT_EQ(w.server->stats().msgs_rx, w.server->stats().dispatched);
 }
 
 // ---------------------------------------------------------------------------
@@ -531,8 +460,9 @@ TEST(Storm, FloodQuarantineTriggersAndRecoversDeterministically) {
   const auto& st = w.server->stats();
   EXPECT_EQ(st.flood_quarantines, 1u);
   EXPECT_GT(st.flood_shed, 0u) << "quarantined DATA must drop at the door";
-  ASSERT_FALSE(w.events->log.empty());
-  EXPECT_EQ(w.events->log.front(), "quarantine:" + std::to_string(n.id));
+  const std::string id = std::to_string(n.id);
+  EXPECT_EQ(w.events->log,
+            (std::vector<std::string>{"connect:" + id, "quarantine:" + id}));
 
   // CONTROL still passes while quarantined: the session stays alive.
   w.send_ctrl(n);
@@ -547,7 +477,7 @@ TEST(Storm, FloodQuarantineTriggersAndRecoversDeterministically) {
   n.fn->emit(n.ctrl);
   advance(w.reactor, w.clock, 20 * kMilli);
   EXPECT_EQ(st.flood_recoveries, 1u);
-  EXPECT_EQ(w.events->log.back(), "recover:" + std::to_string(n.id));
+  EXPECT_EQ(w.events->log.back(), "reconnect:" + id);
   EXPECT_GT(n.indications, delivered_before)
       << "post-recovery indications must deliver again";
   expect_server_reconciles(w);
@@ -832,25 +762,21 @@ std::string run_storm(std::uint64_t seed) {
   EXPECT_LE(w.ctrl_p99(), 20 * kMilli);
   // Zero silent drops, end to end: every emitted indication is delivered,
   // agent-shed (and reported), or server-shed.
-  const auto& st = w.server->stats();
-  const auto& dq = w.server->ingest_queue().queue(MsgClass::data).stats();
-  const std::uint64_t emitted = flooder.fn->emitted + victim.fn->emitted;
-  const std::uint64_t agent_shed = flooder.agent->stats().indications_shed +
-                                   victim.agent->stats().indications_shed;
-  const std::uint64_t delivered =
+  IndicationFlow flow;
+  flow.emitted = flooder.fn->emitted + victim.fn->emitted;
+  flow.agent_shed = flooder.agent->stats().indications_shed +
+                    victim.agent->stats().indications_shed;
+  flow.delivered =
       static_cast<std::uint64_t>(flooder.indications + victim.indications);
-  EXPECT_EQ(emitted, delivered + agent_shed + st.rate_shed + st.flood_shed +
-                         dq.shed());
-  EXPECT_EQ(st.agent_reported_sheds, agent_shed)
+  const Balance b = reconcile(flow, w.server->ledger());
+  EXPECT_EQ(b.in, b.out);
+  const auto& st = w.server->stats();
+  EXPECT_EQ(st.agent_reported_sheds, flow.agent_shed)
       << "every agent-side shed must be reported by the settle point";
 
   std::ostringstream trace;
-  trace << "mult=" << mult << " rx=" << st.msgs_rx
-        << " dispatched=" << st.dispatched << " rate_shed=" << st.rate_shed
-        << " flood_shed=" << st.flood_shed << " queue_shed=" << st.queue_shed
-        << " quar=" << st.flood_quarantines << " rec=" << st.flood_recoveries
-        << " reported=" << st.agent_reported_sheds
-        << " delivered=" << delivered << " agent_shed=" << agent_shed
+  trace << "mult=" << mult << " " << counters_text(st)
+        << " delivered=" << flow.delivered << " agent_shed=" << flow.agent_shed
         << " ctrl_p99=" << w.ctrl_p99() << " events=";
   for (const auto& e : w.events->log) trace << e << ";";
   return trace.str();

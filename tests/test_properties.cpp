@@ -212,10 +212,10 @@ TEST(TcPolicy, AgentAppliesPacerWithoutControllerRoundTrip) {
   server::E2Server server(reactor, {21, WireFormat::flat});
   auto [a, s] = LocalTransport::make_pair(reactor);
   server.attach(s);
-  agent.add_controller(a);
-  test::pump_until(reactor,
-                   [&] { return server.ran_db().num_agents() == 1; });
-  bs.attach_ue({100, 1, 0, 15, 3});
+  ASSERT_TRUE(agent.add_controller(a).is_ok());
+  ASSERT_TRUE(test::pump_until(
+      reactor, [&] { return server.ran_db().num_agents() == 1; }));
+  ASSERT_TRUE(bs.attach_ue({100, 1, 0, 15, 3}).is_ok());
 
   // Install the policy: sojourn > 30 ms => BDP pacer, locally.
   e2sm::tc::PolicyDef def;
@@ -226,13 +226,14 @@ TEST(TcPolicy, AgentAppliesPacerWithoutControllerRoundTrip) {
   cbs.on_response = [&](const e2ap::SubscriptionResponse& resp) {
     admitted = !resp.admitted.empty();
   };
-  server.subscribe(
+  auto h = server.subscribe(
       1, e2sm::tc::Sm::kId,
       e2sm::sm_encode(e2sm::EventTrigger{e2sm::TriggerKind::periodic, 1000},
                       WireFormat::flat),
       {{1, e2ap::ActionType::policy,
         e2sm::sm_encode(def, WireFormat::flat)}},
       cbs);
+  ASSERT_TRUE(h.is_ok());
   ASSERT_TRUE(test::pump_until(reactor, [&] { return admitted; }));
   EXPECT_EQ(bundle.tc().num_policies(), 1u);
 
@@ -266,9 +267,9 @@ TEST(TcPolicy, PolicyRemovedWithSubscription) {
   server::E2Server server(reactor, {21, WireFormat::flat});
   auto [a, s] = LocalTransport::make_pair(reactor);
   server.attach(s);
-  agent.add_controller(a);
-  test::pump_until(reactor,
-                   [&] { return server.ran_db().num_agents() == 1; });
+  ASSERT_TRUE(agent.add_controller(a).is_ok());
+  ASSERT_TRUE(test::pump_until(
+      reactor, [&] { return server.ran_db().num_agents() == 1; }));
 
   e2sm::tc::PolicyDef def;
   auto h = server.subscribe(

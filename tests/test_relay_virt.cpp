@@ -339,7 +339,7 @@ TEST(Virt, TenantCannotExceedVirtualAdmission) {
   });
   // The virtual slice function rejects -> control failure or ack(false).
   pump(w.reactor, 20);
-  if (ok.has_value()) EXPECT_FALSE(*ok);
+  if (ok.has_value()) { EXPECT_FALSE(*ok); }
   // Nothing leaked into the physical scheduler.
   auto report = w.bs.mac().status_report(false);
   EXPECT_EQ(report.slices.size(), 1u);  // default only

@@ -26,24 +26,12 @@
 namespace flexric {
 namespace {
 
+using test::advance;
 using test::pump;
 
 // ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
-
-/// Advance virtual time in small steps, pumping the reactor after each so
-/// timers interleave with message deliveries the way real time would.
-void advance(Reactor& reactor, VirtualClock& clock, Nanos dt,
-             Nanos step = kMilli) {
-  while (dt > 0) {
-    Nanos d = dt < step ? dt : step;
-    clock.advance(d);
-    dt -= d;
-    for (int i = 0; i < 8; ++i)
-      if (reactor.run_once(0) == 0) break;
-  }
-}
 
 class ChaosStub final : public agent::RanFunction {
  public:
@@ -87,30 +75,13 @@ class ChaosStub final : public agent::RanFunction {
   e2ap::RanFunctionItem desc_;
 };
 
-struct EventLogIApp final : server::IApp {
-  const char* name() const override { return "event-log"; }
-  void on_agent_connected(const server::AgentInfo& info) override {
-    log.push_back("connect:" + std::to_string(info.id));
-  }
-  void on_agent_disconnected(server::AgentId id) override {
-    log.push_back("disconnect:" + std::to_string(id));
-  }
-  void on_agent_quarantined(server::AgentId id) override {
-    log.push_back("quarantine:" + std::to_string(id));
-  }
-  void on_agent_reconnected(const server::AgentInfo& info) override {
-    log.push_back("reconnect:" + std::to_string(info.id));
-  }
-  std::vector<std::string> log;
-};
-
 /// One agent + one server on a VirtualClock reactor; the agent dials through
 /// FaultyTransport links created fresh on every (re)connect.
 struct ChaosWorld {
   explicit ChaosWorld(ResilienceConfig server_rc = server_defaults())
       : server(reactor, {21, WireFormat::flat, server_rc, {}}) {
     reactor.set_time_source(&clock);
-    events = std::make_shared<EventLogIApp>();
+    events = std::make_shared<test::ShardEventLog>();
     server.add_iapp(events);
   }
 
@@ -180,7 +151,7 @@ struct ChaosWorld {
   VirtualClock clock;
   Reactor reactor;
   server::E2Server server;
-  std::shared_ptr<EventLogIApp> events;
+  std::shared_ptr<test::ShardEventLog> events;
   std::unique_ptr<agent::E2Agent> agent;
   std::shared_ptr<ChaosStub> fn;
   std::shared_ptr<FaultyTransport> link;  ///< most recent agent-side link
@@ -636,7 +607,7 @@ std::string run_chaos(std::uint64_t seed, std::uint64_t* reconnects_out) {
   EXPECT_EQ(w.server.ran_db().num_agents(), 1u);
   const auto* info = w.server.ran_db().agent(aid);
   EXPECT_NE(info, nullptr) << "agent id churned across reconnects";
-  if (info != nullptr) EXPECT_TRUE(info->connected);
+  if (info != nullptr) { EXPECT_TRUE(info->connected); }
   EXPECT_EQ(w.server.num_connections(), 1u);
   EXPECT_EQ(w.server.num_inflight_controls(), 0u);
   EXPECT_LE(w.server.num_subscriptions(), 1u);
@@ -664,11 +635,9 @@ std::string run_chaos(std::uint64_t seed, std::uint64_t* reconnects_out) {
     *reconnects_out = w.agent->stats().reconnects;
 
   std::ostringstream trace;
-  trace << "dials=" << w.dials << " reconnects=" << w.agent->stats().reconnects
-        << " replays=" << w.agent->stats().setup_replays
-        << " hb_miss=" << w.agent->stats().heartbeat_misses
-        << " srv_reconnects=" << w.server.stats().reconnects
-        << " responses=" << responses << " events=";
+  trace << "dials=" << w.dials << " agent{" << counters_text(w.agent->stats())
+        << "} server{" << counters_text(w.server.stats())
+        << "} responses=" << responses << " events=";
   for (const auto& e : w.events->log) trace << e << ";";
   for (const auto& e : w.conn_events) trace << e << ";";
   return trace.str();
@@ -687,8 +656,8 @@ TEST_P(ChaosSoak, ConvergesAndIsDeterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSoak, ::testing::ValuesIn(chaos_seeds()),
-                         [](const auto& info) {
-                           return "seed_" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "seed_" + std::to_string(param_info.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -767,7 +736,7 @@ std::string run_sharded_chaos(std::uint64_t seed) {
     const auto* info =
         w.ric.shard_server(nodes[i]->shard).ran_db().agent(nodes[i]->id);
     EXPECT_NE(info, nullptr);
-    if (info != nullptr) EXPECT_TRUE(info->connected);
+    if (info != nullptr) { EXPECT_TRUE(info->connected); }
   }
   // The home-side merged directory agrees with every shard (the directory
   // resyncs after any event-ring loss, so eventual agreement is exact).
@@ -789,9 +758,8 @@ std::string run_sharded_chaos(std::uint64_t seed) {
   std::ostringstream trace;
   trace << "shards=" << shards << " ";
   for (auto* n : nodes)
-    trace << "n" << n->shard << "{dials=" << n->dials
-          << " rec=" << n->agent->stats().reconnects
-          << " replays=" << n->agent->stats().setup_replays << "} ";
+    trace << "n" << n->shard << "{dials=" << n->dials << " "
+          << counters_text(n->agent->stats()) << "} ";
   trace << w.trace();
   return trace.str();
 }

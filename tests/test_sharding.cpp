@@ -6,7 +6,9 @@
 // interleaving order so multi-shard scenarios replay byte-identically.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -26,6 +28,7 @@ namespace {
 
 using test::ShardWorld;
 using test::nb_id_on_shard;
+using test::uniform_ledger;
 
 // ---------------------------------------------------------------------------
 // Partitioner
@@ -237,10 +240,10 @@ TEST(SpscRingDeathTest, SecondProducerThreadAborts) {
 // ---------------------------------------------------------------------------
 
 // Regression for the torn-publish finding the atomics-order pass flagged:
-// the writer only ever publishes ledgers satisfying msgs_rx == dispatched ==
-// orphan_indications (the image's first, second and last fields), so a
-// racing reader observing anything else caught a torn image (12 independent
-// relaxed stores would tear; the seqlock must not).
+// the writer only ever publishes ledgers whose fields all hold the same
+// value, so a racing reader observing two different fields anywhere in the
+// slot caught a torn image (independent relaxed stores would tear; the
+// seqlock must not).
 TEST(ShardStats, BoardReadNeverTearsAcrossFields) {
   ShardCounterBoard board(1);
   constexpr std::uint64_t kRounds = 20000;
@@ -248,25 +251,29 @@ TEST(ShardStats, BoardReadNeverTearsAcrossFields) {
   std::uint64_t tears = 0, reads = 0;
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      ShardLedger v = board.read(0);
-      if (v.msgs_rx != v.dispatched || v.orphan_indications != v.msgs_rx)
-        tears++;
+      const ShardLedger v = board.read(0);
+      if (v != uniform_ledger(v.msgs_rx)) tears++;
       reads++;
     }
   });
-  for (std::uint64_t i = 1; i <= kRounds; ++i) {
-    ShardLedger v;
-    v.msgs_rx = i;
-    v.dispatched = i;
-    v.orphan_indications = i;
-    board.publish(0, v);
-  }
+  for (std::uint64_t i = 1; i <= kRounds; ++i)
+    board.publish(0, uniform_ledger(i));
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(tears, 0u) << "seqlock tore across " << reads << " reads";
-  ShardLedger last = board.read(0);
-  EXPECT_EQ(last.msgs_rx, kRounds);
-  EXPECT_EQ(last.dispatched, kRounds);
+  EXPECT_EQ(board.read(0), uniform_ledger(kRounds));
+}
+
+// A member the counters() walk forgot, or a walk line naming the wrong
+// member, would not survive the slot: fill every word of a ledger with a
+// distinct value (bytes, not the walk), publish, and read it back.
+TEST(ShardStats, PublishThenReadReturnsEveryFieldUnchanged) {
+  ShardCounterBoard board(1);
+  std::array<std::uint64_t, sizeof(ShardLedger) / sizeof(std::uint64_t)> w{};
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 101 + i;
+  const auto v = std::bit_cast<ShardLedger>(w);
+  board.publish(0, v);
+  EXPECT_EQ(board.read(0), v) << counters_text(board.read(0));
 }
 
 // ---------------------------------------------------------------------------
@@ -358,8 +365,9 @@ TEST_P(ShardedDelivery, EveryShardServesOnlyItsOwnAgentsInOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDelivery,
                          ::testing::Values(1u, 2u, 4u),
-                         [](const auto& info) {
-                           return "shards_" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "shards_" +
+                                  std::to_string(param_info.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -520,22 +528,16 @@ TEST(ShardedLedger, BoardSumMatchesPerShardGroundTruth) {
   }
   w.advance(500 * kMilli);  // drain queues AND fire every publish timer
 
-  // Merge-on-query: the board's sum equals reading every shard directly.
-  ShardLedger sum = w.ric.global_ledger();
-  std::uint64_t rx = 0, dispatched = 0, rate = 0;
+  // Merge-on-query: each board slot equals reading its shard directly, and
+  // the global ledger is their sum.
+  ShardLedger direct;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const auto& st = w.ric.shard_server(s).stats();
-    rx += st.msgs_rx;
-    dispatched += st.dispatched;
-    rate += st.rate_shed;
-    ShardLedger one = w.ric.shard_ledger(s);
-    EXPECT_EQ(one.msgs_rx, st.msgs_rx) << "shard " << s;
-    EXPECT_EQ(one.dispatched, st.dispatched) << "shard " << s;
+    const ShardLedger one = w.ric.shard_server(s).ledger();
+    EXPECT_EQ(w.ric.shard_ledger(s), one) << "shard " << s;
+    add_counters(direct, one);
   }
-  EXPECT_EQ(sum.msgs_rx, rx);
-  EXPECT_EQ(sum.dispatched, dispatched);
-  EXPECT_EQ(sum.rate_shed, rate);
-  EXPECT_GT(sum.rate_shed, 0u) << "the burst was supposed to overload";
+  EXPECT_EQ(w.ric.global_ledger(), direct) << counters_text(direct);
+  EXPECT_GT(direct.rate_shed, 0u) << "the burst was supposed to overload";
   w.expect_global_reconciles();
 }
 
@@ -604,9 +606,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(std::uint64_t{1}, std::uint64_t{2},
                                          std::uint64_t{3}),
                        ::testing::Values(1u, 2u, 4u)),
-    [](const auto& info) {
-      return "seed_" + std::to_string(std::get<0>(info.param)) + "_shards_" +
-             std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      return "seed_" + std::to_string(std::get<0>(param_info.param)) +
+             "_shards_" + std::to_string(std::get<1>(param_info.param));
     });
 
 }  // namespace

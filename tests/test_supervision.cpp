@@ -57,19 +57,15 @@ TEST(HealthBoard, BeatReadReset) {
 
 TEST(CounterBoard, StaleEpochPublishIsDropped) {
   ShardCounterBoard board(1);
-  ShardLedger v;
-  v.dispatched = 7;
   const std::uint64_t old_epoch = board.epoch_of(0);
-  board.publish(0, v, old_epoch);
-  EXPECT_EQ(board.read(0).dispatched, 7u);
+  board.publish(0, uniform_ledger(7), old_epoch);
+  EXPECT_EQ(board.read(0), uniform_ledger(7));
   board.bump_epoch(0);
-  v.dispatched = 99;
-  board.publish(0, v, old_epoch);  // corpse incarnation
-  EXPECT_EQ(board.read(0).dispatched, 7u)
-      << "stale-epoch publish must be dropped";
-  v.dispatched = 11;
-  board.publish(0, v, board.epoch_of(0));  // replacement
-  EXPECT_EQ(board.read(0).dispatched, 11u);
+  board.publish(0, uniform_ledger(99), old_epoch);  // corpse incarnation
+  EXPECT_EQ(board.read(0), uniform_ledger(7))
+      << "stale-epoch publish must be dropped, every field of it";
+  board.publish(0, uniform_ledger(11), board.epoch_of(0));  // replacement
+  EXPECT_EQ(board.read(0), uniform_ledger(11));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,6 +302,32 @@ TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
   w.unwedge_shard(0);
   w.advance(2 * kSecond);
   w.settle();
+  w.expect_supervised_reconciles();
+}
+
+// A CONTROL frame the ingest queue sheds was never an indication: a burst of
+// control acks overflowing a 2-deep CONTROL queue must leave the indication
+// ledger exact, counting only DATA-class queue sheds.
+TEST(Recovery, ShedControlFramesStayOutOfTheIndicationLedger) {
+  server::ShardedConfig cfg = sup_cfg();
+  cfg.server.overload.enabled = true;
+  cfg.server.overload.control_queue = 2;
+  ShardWorld w(1, cfg, /*supervised=*/true);
+  w.agent_rc = fast_rc();
+  w.enable_fanout();
+  auto& a = w.add_agent(0);
+  ASSERT_TRUE(w.converge(a));
+  w.advance(50 * kMilli);
+  a.fn->emit(a.ctrl);
+  for (int i = 0; i < 16; ++i)
+    (void)w.ric.shard_server(0).send_control(a.id, 200, Buffer{0x01},
+                                             Buffer{0x02}, {});
+  w.advance(50 * kMilli);
+  w.settle();
+  ASSERT_EQ(w.fanout_delivered, 1u);
+  const ShardLedger g = w.ric.global_ledger();
+  EXPECT_GT(g.queue_shed, g.data_queue_shed)
+      << "the ack burst was supposed to shed CONTROL frames";
   w.expect_supervised_reconciles();
 }
 

@@ -140,8 +140,8 @@ TEST(Classifier, PrecedenceOrdersFilters) {
   (void)chain.add_filter(filter_port(2, 5000, 2, /*prec=*/1));
   chain.enqueue(pkt(100, 5000), 0);
   for (const auto& s : chain.stats_snapshot(false)) {
-    if (s.qid == 2) EXPECT_EQ(s.backlog_pkts, 1u);
-    if (s.qid == 1) EXPECT_EQ(s.backlog_pkts, 0u);
+    if (s.qid == 2) { EXPECT_EQ(s.backlog_pkts, 1u); }
+    if (s.qid == 1) { EXPECT_EQ(s.backlog_pkts, 0u); }
   }
 }
 
@@ -157,7 +157,7 @@ TEST(TcQueue, FifoLimitDrops) {
   EXPECT_TRUE(chain.enqueue(pkt(1000, 5000), 0));
   EXPECT_FALSE(chain.enqueue(pkt(1000, 5000), 0));
   for (const auto& s : chain.stats_snapshot(false))
-    if (s.qid == 1) EXPECT_EQ(s.dropped_pkts, 1u);
+    if (s.qid == 1) { EXPECT_EQ(s.dropped_pkts, 1u); }
 }
 
 TEST(TcQueue, SojournMeasuredAtDequeue) {
@@ -261,8 +261,8 @@ TEST(TcSched, PrioServesLowQidFirst) {
   chain.drain(rlc, now, 8.0);  // 8 Mbps * 1ms = 1000 B budget -> ~2-3 pkts
   auto stats = chain.stats_snapshot(false);
   for (const auto& s : stats) {
-    if (s.qid == 0) EXPECT_GT(s.tx_pkts, 0u);
-    if (s.qid == 1) EXPECT_EQ(s.tx_pkts, 0u);
+    if (s.qid == 0) { EXPECT_GT(s.tx_pkts, 0u); }
+    if (s.qid == 1) { EXPECT_EQ(s.tx_pkts, 0u); }
   }
 }
 
