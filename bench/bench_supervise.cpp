@@ -4,7 +4,7 @@
 // rebuilt shard) — across 12 seeds and 1/2/4 shards, for both fault
 // shapes (wedge: loop stops turning; crash: links reset too).
 //
-// Everything runs on the supervised ShardWorld harness from the test tree:
+// Everything runs on the supervised World harness from the test tree:
 // one thread pumps every shard loop off a shared VirtualClock, so every
 // number below is bit-deterministic and the seeded BENCH_supervise.json can
 // be diffed numerically across commits. Detection is bounded by
@@ -16,13 +16,13 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "tests/shard_world.hpp"
+#include "tests/world.hpp"
 
 namespace flexric::bench {
 namespace {
 
 using test::ShardFault;
-using test::ShardWorld;
+using test::World;
 
 server::ShardedConfig sup_cfg() {
   server::ShardedConfig cfg;
@@ -50,10 +50,10 @@ struct RecoveryRun {
 };
 
 RecoveryRun run_one(std::uint32_t shards, std::uint64_t seed, bool crash) {
-  ShardWorld w(shards, sup_cfg(), /*supervised=*/true);
+  World w(shards, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
-  std::vector<ShardWorld::Node*> agents;
+  std::vector<World::Node*> agents;
   for (std::uint32_t s = 0; s < shards; ++s) {
     agents.push_back(&w.add_agent(s, 0, e2ap::NodeType::gnb, {}, seed));
     FLEXRIC_ASSERT(w.converge(*agents.back()), "bench: agent never converged");
@@ -75,9 +75,9 @@ RecoveryRun run_one(std::uint32_t shards, std::uint64_t seed, bool crash) {
     w.advance(20 * kMilli);
   }
   FLEXRIC_ASSERT(w.first_redelivery_at != 0, "bench: recovery never healed");
-  FLEXRIC_ASSERT(w.ric.supervisor().stats().quarantines == 1,
+  FLEXRIC_ASSERT(w.ric->supervisor().stats().quarantines == 1,
                  "bench: expected exactly one quarantine");
-  FLEXRIC_ASSERT(w.ric.supervisor().stats().restarts == 1,
+  FLEXRIC_ASSERT(w.ric->supervisor().stats().restarts == 1,
                  "bench: expected exactly one restart");
 
   RecoveryRun r;

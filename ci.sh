@@ -29,15 +29,18 @@
 #   --quick     configure FLEXRIC_FUZZ_ITERS=1000 for a fast local smoke run;
 #               without it the fuzz battery keeps the CI default (100k).
 #   --chaos     add a resilience soak after the matrix: test_resilience over a
-#               wide seeded fault schedule (FLEXRIC_CHAOS_SEEDS), on the plain
+#               wide seeded fault schedule (FLEXRIC_CHAOS_SEEDS), every seed
+#               against every server (plain, 1, 2 and 4 shards), on the plain
 #               build AND under TSan — the reconnect/heartbeat/replay machinery
 #               is all timer-driven callbacks, exactly where a latent data race
-#               would hide. A failure prints the seed that reproduces it.
+#               would hide. A failure prints the seed and server that
+#               reproduce it.
 #   --overload  add an indication-storm soak: test_overload over a wide seeded
 #               storm schedule (FLEXRIC_STORM_SEEDS sweeps 1x/4x/16x/64x storm
-#               multipliers), on the plain build AND under TSan — admission,
+#               multipliers), every seed against every server (plain, 1, 2
+#               and 4 shards), on the plain build AND under TSan — admission,
 #               shedding and quarantine all run inside reactor callbacks, the
-#               same place a race would hide. Each seed runs twice and the
+#               same place a race would hide. Each instance runs twice and the
 #               traces must match bit-for-bit (DESIGN.md §11).
 #   --tidy      opt-in clang-tidy lane over src/ using the .clang-tidy config
 #               (bugprone-*, performance-*, misc-unused-*) and the plain leg's
@@ -58,10 +61,11 @@
 #               plain build AND under TSan — heartbeat publishes, health
 #               reads, epoch-guarded counter publishes and the rebuild
 #               handoff are exactly where a latent race would hide. The
-#               suite's 12-seed chaos soak (wedge/crash faults over 1/2/4
-#               shards) runs every seed twice and the traces must match
+#               suite's kill/recover soak (wedge/crash faults, 12 seeds at
+#               each of 1, 2 and 4 shards) runs every instance twice and the
+#               traces must match
 #               byte-for-byte; MTTR and ledger exactness are asserted per
-#               seed. The default matrix already runs test_supervision in
+#               instance. The default matrix already runs test_supervision in
 #               both ctest legs as the smoke tier; this lane adds TSan.
 #   --shard     standalone sharded-RIC lane (DESIGN.md §13): TSan build of the
 #               sharding suite, then (1) test_sharding — partitioner, SPSC
@@ -69,9 +73,9 @@
 #               ShardPool, sharded delivery/fan-out/misroute/ledger/resync and
 #               the multi-shard determinism matrix, (2) the affinity death
 #               tests (per-shard domains abort with the offended shard's
-#               name), (3) the sharded chaos + storm soaks pinned to 4 shards
-#               via FLEXRIC_SHARD_COUNT — every seed runs twice and the
-#               traces must match byte-for-byte, (4) the static analyzer:
+#               name), (3) the chaos + storm soaks' 4-shard instances
+#               (--gtest_filter='*shards_4_*') — every seed runs twice and
+#               the traces must match byte-for-byte, (4) the static analyzer:
 #               tree scan (the @affine(shard) domain-ownership proof) and the
 #               fixture golden file.
 set -eu
@@ -175,11 +179,11 @@ run_shard_lane() {
   echo "==== [shard] affinity guards (per-shard domains) ===="
   "$build_dir/tests/test_affinity" --gtest_brief=1
   echo "==== [shard] chaos soak at 4 shards (double-run determinism) ===="
-  FLEXRIC_SHARD_COUNT=4 "$build_dir/tests/test_resilience" \
-    --gtest_brief=1 --gtest_filter='*ShardedChaos*'
+  "$build_dir/tests/test_resilience" \
+    --gtest_brief=1 --gtest_filter='*ChaosSoak*shards_4_*'
   echo "==== [shard] storm soak at 4 shards (double-run determinism) ===="
-  FLEXRIC_SHARD_COUNT=4 "$build_dir/tests/test_overload" \
-    --gtest_brief=1 --gtest_filter='*ShardedStorm*'
+  "$build_dir/tests/test_overload" \
+    --gtest_brief=1 --gtest_filter='*StormSoak*shards_4_*'
   bin="$build_dir/tools/analyze/flexric-analyze"
   echo "==== [shard] analyzer gate (@affine(shard) domain ownership) ===="
   "$bin" --root "$root" --baseline "$root/tools/analyze/hotpath_baseline.txt"
@@ -193,13 +197,13 @@ run_supervise_lane() {
   cmake -B "$plain_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_SANITIZE=""
   cmake --build "$plain_dir" -j "$jobs" --target test_supervision
-  echo "==== [supervise] suite + 12-seed soak (plain, double-run determinism) ===="
+  echo "==== [supervise] suite + 12-seed soak at 1/2/4 shards (plain, double-run determinism) ===="
   "$plain_dir/tests/test_supervision" --gtest_brief=1
   echo "==== [supervise] tsan build ===="
   cmake -B "$tsan_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_FUZZ_ITERS="$fuzz_iters" -DFLEXRIC_SANITIZE="thread"
   cmake --build "$tsan_dir" -j "$jobs" --target test_supervision
-  echo "==== [supervise] suite + 12-seed soak (tsan) ===="
+  echo "==== [supervise] suite + 12-seed soak at 1/2/4 shards (tsan) ===="
   "$tsan_dir/tests/test_supervision" --gtest_brief=1
 }
 

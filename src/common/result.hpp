@@ -49,9 +49,9 @@ struct Error {
 };
 
 /// Status of a fallible operation without a payload. [[nodiscard]] at class
-/// level: silently dropping an error is the bug class the analyzer's
-/// nodiscard-status rule exists for; deliberate fire-and-forget call sites
-/// must say so with a (void) cast.
+/// level, and the build passes -Werror=unused-result: silently dropping an
+/// error fails to compile; deliberate fire-and-forget call sites must say
+/// so with a (void) cast.
 class [[nodiscard]] Status {
  public:
   Status() = default;  // ok

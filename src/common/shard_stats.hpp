@@ -68,6 +68,10 @@ struct ServerLedger {
 /// counters plus the ingest backlog and what only the shard relay sees.
 struct ShardLedger : ServerLedger {
   std::uint64_t queued = 0;           ///< admitted, not yet dispatched
+  std::uint64_t data_queued = 0;      ///< the DATA (indication) share of it
+  /// Admitted frames destroyed with a rebuilt shard's ingest queue (§15);
+  /// their DATA share is also in the RIC's supervisor_shed.
+  std::uint64_t stranded = 0;
   std::uint64_t fanout_shed = 0;      ///< cross-shard indication ring overflow
   std::uint64_t reply_shed = 0;       ///< northbound reply ring overflow
   std::uint64_t dir_events_lost = 0;  ///< directory event ring overflow (resync)
@@ -78,6 +82,8 @@ struct ShardLedger : ServerLedger {
   friend constexpr void counters(F&& f, S& s) {
     counters(f, as_base<ServerLedger>(s));
     f("queued", s.queued);
+    f("data_queued", s.data_queued);
+    f("stranded", s.stranded);
     f("fanout_shed", s.fanout_shed);
     f("reply_shed", s.reply_shed);
     f("dir_events_lost", s.dir_events_lost);
@@ -96,10 +102,11 @@ struct Balance {
 };
 
 /// Server ledger (DESIGN.md §11): every frame received was handed to its
-/// handler, shed with a counted reason, or still waits in the ingest queue.
+/// handler, shed with a counted reason, still waits in the ingest queue, or
+/// died with a rebuilt shard's queue.
 [[nodiscard]] inline Balance reconcile(const ShardLedger& l) noexcept {
   const std::uint64_t shed = l.rate_shed + l.flood_shed + l.queue_shed;
-  return {l.msgs_rx, l.dispatched + shed + l.queued};
+  return {l.msgs_rx, l.dispatched + shed + l.queued + l.stranded};
 }
 
 /// What the far ends of the indication path saw: the RAN functions, the
@@ -207,11 +214,14 @@ class ShardCounterBoard {
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
   /// The writing shard publishes a full ledger image under a seqlock
-  /// (Boehm-style): bump the sequence odd, release-fence, store the fields
-  /// relaxed, then release-store the sequence even. A reader that sees the
-  /// same even sequence on both sides of its loads got an untorn image —
-  /// the §11 reconciliation invariant holds across fields, not just within
-  /// each one.
+  /// (Boehm-style), with the ordering on the atomics themselves: bump the
+  /// sequence odd, release-store each field (so the odd sequence is visible
+  /// to whoever reads that field), then release-store the sequence even.
+  /// The reader acquire-loads each field, so its closing sequence load
+  /// cannot move above them. A reader that sees the same even sequence on
+  /// both sides of its loads got an untorn image — the §11 reconciliation
+  /// invariant holds across fields, not just within each one. No fences:
+  /// ThreadSanitizer models this ordering, and on x86 it costs nothing.
   void publish(std::uint32_t shard, const ShardLedger& v) noexcept {
     publish(shard, v, epoch_of(shard));
   }
@@ -227,11 +237,10 @@ class ShardCounterBoard {
     if (epoch != s.epoch.load(std::memory_order_acquire)) return;
     const std::uint64_t s0 = s.seq.load(std::memory_order_relaxed);
     s.seq.store(s0 + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     std::size_t i = 0;
     counters(
         [&](std::string_view, std::uint64_t x) {
-          s.fields[i++].store(x, std::memory_order_relaxed);
+          s.fields[i++].store(x, std::memory_order_release);
         },
         v);
     s.seq.store(s0 + 2, std::memory_order_release);
@@ -248,10 +257,9 @@ class ShardCounterBoard {
       std::size_t i = 0;
       counters(
           [&](std::string_view, std::uint64_t& x) {
-            x = s.fields[i++].load(std::memory_order_relaxed);
+            x = s.fields[i++].load(std::memory_order_acquire);
           },
           v);
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) == s1) return v;
     }
   }

@@ -224,6 +224,7 @@ class E2Server {
     ShardLedger l;
     static_cast<ServerLedger&>(l) = stats_;
     l.queued = ingest_.size();
+    l.data_queued = ingest_.queue(overload::MsgClass::data).size();
     return l;
   }
 

@@ -427,11 +427,15 @@ void ShardedE2Server::rebuild_shard(std::uint32_t shard) {
     harvest = board_.read(shard);
   }
   // Frames admitted but still queued die with the ingest queue: that loss
-  // is supervision's doing, so it lands in supervisor_shed, keeping
+  // is supervision's doing. The retired ledger counts them as stranded, so
+  // the server equation still closes; their DATA share also lands in
+  // supervisor_shed, keeping
   //   Σemitted == Σdelivered + Σagent_shed + Σserver_shed + Σsupervisor_shed
-  // exact across the recovery.
-  supervisor_shed_ += harvest.queued;
+  // exact across the recovery. The CONTROL share was never an indication.
+  supervisor_shed_ += harvest.data_queued;
+  harvest.stranded += harvest.queued;
   harvest.queued = 0;
+  harvest.data_queued = 0;
   add_counters(retired_ledgers_[shard], harvest);
   // Retire the slot's writer incarnation before the teardown: a leaked
   // corpse loop that un-wedges later publishes into the void.

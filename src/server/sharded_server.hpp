@@ -213,8 +213,8 @@ class ShardedE2Server {
   /// again.
   void rebuild_shard(std::uint32_t shard);
 
-  /// Indications/frames destroyed by supervision itself (fan-out parked in
-  /// a dead shard's ring, frames stranded in a dead ingest queue): the
+  /// Indications destroyed by supervision itself (fan-out parked in a
+  /// dead shard's ring, DATA frames stranded in a dead ingest queue): the
   /// fourth shed term of the global invariant
   ///   Σemitted == Σdelivered + Σagent_shed + Σserver_shed + Σsupervisor_shed
   [[nodiscard]] std::uint64_t supervisor_shed() const noexcept {

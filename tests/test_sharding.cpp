@@ -1,7 +1,7 @@
 // Sharded multi-reactor RIC (DESIGN.md §13): partitioner, SPSC conduits,
 // ShardPool scheduling, and the ShardedE2Server cross-shard paths — RAN-DB
 // merge-on-query, xApp fan-out, northbound queries, global overload ledger —
-// all under the deterministic shard-scheduling harness (shard_world.hpp),
+// all under the deterministic shard-scheduling harness (world.hpp),
 // which drives every shard reactor from one VirtualClock in a fixed
 // interleaving order so multi-shard scenarios replay byte-identically.
 #include <gtest/gtest.h>
@@ -20,13 +20,13 @@
 #include "common/shard_stats.hpp"
 #include "common/spsc_ring.hpp"
 #include "server/sharding.hpp"
-#include "shard_world.hpp"
+#include "world.hpp"
 #include "transport/shard_pool.hpp"
 
 namespace flexric {
 namespace {
 
-using test::ShardWorld;
+using test::World;
 using test::nb_id_on_shard;
 using test::uniform_ledger;
 
@@ -331,9 +331,9 @@ class ShardedDelivery : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(ShardedDelivery, EveryShardServesOnlyItsOwnAgentsInOrder) {
   const std::uint32_t shards = GetParam();
-  ShardWorld w(shards);
+  World w(shards);
   // Two agents per shard, subscribed, each emitting 50 indications.
-  std::vector<ShardWorld::Node*> nodes;
+  std::vector<World::Node*> nodes;
   for (std::uint32_t s = 0; s < shards; ++s)
     for (int k = 0; k < 2; ++k) {
       auto& n = w.add_agent(s);
@@ -353,14 +353,14 @@ TEST_P(ShardedDelivery, EveryShardServesOnlyItsOwnAgentsInOrder) {
   }
   // Isolation: each shard's server saw exactly its own 2 agents.
   for (std::uint32_t s = 0; s < shards; ++s) {
-    EXPECT_EQ(w.ric.shard_server(s).ran_db().num_agents(), 2u);
-    EXPECT_EQ(w.ric.shard_server(s).stats().misrouted, 0u);
+    EXPECT_EQ(w.ric->shard_server(s).ran_db().num_agents(), 2u);
+    EXPECT_EQ(w.ric->shard_server(s).stats().misrouted, 0u);
   }
   // The merged directory shows all of them under global ids.
-  EXPECT_EQ(w.ric.directory().num_agents(), 2u * shards);
+  EXPECT_EQ(w.ric->directory().num_agents(), 2u * shards);
   for (auto* n : nodes)
-    EXPECT_NE(w.ric.directory().agent(n->gid), nullptr);
-  w.expect_global_reconciles();
+    EXPECT_NE(w.ric->directory().agent(n->gid), nullptr);
+  w.expect_reconciles();
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardedDelivery,
@@ -393,9 +393,9 @@ TEST(ShardedRanDb, CuAndDuOnDifferentShardsFormOneEntity) {
   const std::uint32_t du_shard =
       server::shard_of({1, nb, e2ap::NodeType::du}, shards);
 
-  ShardWorld w(shards);
+  World w(shards);
   std::vector<std::string> formed;
-  w.ric.set_on_ran_formed([&](const server::RanEntity& e) {
+  w.ric->set_on_ran_formed([&](const server::RanEntity& e) {
     formed.push_back(std::to_string(e.plmn) + "/" + std::to_string(e.nb_id));
   });
   auto& cu = w.add_agent(cu_shard, nb, e2ap::NodeType::cu);
@@ -406,7 +406,7 @@ TEST(ShardedRanDb, CuAndDuOnDifferentShardsFormOneEntity) {
 
   ASSERT_EQ(formed.size(), 1u) << "CU+DU across shards must form exactly once";
   EXPECT_EQ(formed[0], "1/" + std::to_string(nb));
-  const server::RanEntity* e = w.ric.directory().entity(1, nb);
+  const server::RanEntity* e = w.ric->directory().entity(1, nb);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->complete());
   ASSERT_TRUE(e->cu.has_value());
@@ -422,9 +422,9 @@ TEST(ShardedRanDb, CuAndDuOnDifferentShardsFormOneEntity) {
 
 TEST(ShardedFanout, IndicationsFromEveryShardLandOnHomeWithGlobalIds) {
   const std::uint32_t shards = 2;
-  ShardWorld w(shards);
+  World w(shards);
   std::vector<server::ShardedE2Server::FanoutIndication> got;
-  w.ric.subscribe_fanout(200, Buffer{0x01},
+  w.ric->subscribe_fanout(200, Buffer{0x01},
                          {{1, e2ap::ActionType::report, {}}},
                          [&](const auto& fi) { got.push_back(fi); });
   auto& a = w.add_agent(0);
@@ -457,7 +457,7 @@ TEST(ShardedFanout, IndicationsFromEveryShardLandOnHomeWithGlobalIds) {
 
 TEST(ShardedMisroute, WrongShardDialIsRejectedAndCounted) {
   const std::uint32_t shards = 2;
-  ShardWorld w(shards);
+  World w(shards);
   // An agent whose node id belongs to shard 0, dialing shard 1's server.
   auto& n = w.add_agent(/*shard=*/0, /*nb_id=*/0, e2ap::NodeType::gnb, {},
                         /*seed=*/1, /*dial_shard=*/1);
@@ -465,10 +465,10 @@ TEST(ShardedMisroute, WrongShardDialIsRejectedAndCounted) {
 
   EXPECT_FALSE(w.established(n))
       << "a misrouted agent must never be served by the wrong universe";
-  EXPECT_GE(w.ric.shard_server(1).stats().misrouted, 1u);
-  EXPECT_EQ(w.ric.shard_server(1).ran_db().num_agents(), 0u);
-  EXPECT_EQ(w.ric.shard_server(0).ran_db().num_agents(), 0u);
-  EXPECT_EQ(w.ric.directory().num_agents(), 0u)
+  EXPECT_GE(w.ric->shard_server(1).stats().misrouted, 1u);
+  EXPECT_EQ(w.ric->shard_server(1).ran_db().num_agents(), 0u);
+  EXPECT_EQ(w.ric->shard_server(0).ran_db().num_agents(), 0u);
+  EXPECT_EQ(w.ric->directory().num_agents(), 0u)
       << "a rejected agent must not leak into the merged directory";
 }
 
@@ -477,13 +477,13 @@ TEST(ShardedMisroute, WrongShardDialIsRejectedAndCounted) {
 // ---------------------------------------------------------------------------
 
 TEST(ShardedQuery, JobRunsOnShardAndReplyLandsOnHome) {
-  ShardWorld w(2);
+  World w(2);
   auto& n = w.add_agent(1);
   ASSERT_TRUE(w.converge(n));
 
   std::vector<std::string> replies;
   ASSERT_TRUE(w.ric
-                  .query(
+                  ->query(
                       1,
                       [](server::E2Server& srv) {
                         return std::to_string(srv.ran_db().num_agents());
@@ -512,8 +512,8 @@ TEST(ShardedLedger, BoardSumMatchesPerShardGroundTruth) {
   cfg.server.overload.dispatch_batch = 16;
   cfg.server.overload.data_rate = 500.0;  // force real shedding
   cfg.server.overload.data_burst = 50.0;
-  ShardWorld w(shards, cfg);
-  std::vector<ShardWorld::Node*> nodes;
+  World w(shards, cfg);
+  std::vector<World::Node*> nodes;
   for (std::uint32_t s = 0; s < shards; ++s) {
     auto& n = w.add_agent(s);
     ASSERT_TRUE(w.converge(n));
@@ -532,13 +532,13 @@ TEST(ShardedLedger, BoardSumMatchesPerShardGroundTruth) {
   // the global ledger is their sum.
   ShardLedger direct;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    const ShardLedger one = w.ric.shard_server(s).ledger();
-    EXPECT_EQ(w.ric.shard_ledger(s), one) << "shard " << s;
+    const ShardLedger one = w.ric->shard_server(s).ledger();
+    EXPECT_EQ(w.ric->shard_ledger(s), one) << "shard " << s;
     add_counters(direct, one);
   }
-  EXPECT_EQ(w.ric.global_ledger(), direct) << counters_text(direct);
+  EXPECT_EQ(w.ric->global_ledger(), direct) << counters_text(direct);
   EXPECT_GT(direct.rate_shed, 0u) << "the burst was supposed to overload";
-  w.expect_global_reconciles();
+  w.expect_reconciles();
 }
 
 // ---------------------------------------------------------------------------
@@ -548,17 +548,17 @@ TEST(ShardedLedger, BoardSumMatchesPerShardGroundTruth) {
 TEST(ShardedResync, EventRingOverflowTriggersSnapshotRecovery) {
   server::ShardedConfig cfg;
   cfg.event_ring = 2;  // tiny: connect churn overflows it immediately
-  ShardWorld w(2, cfg);
+  World w(2, cfg);
   // Connect 5 agents on shard 0 without pumping home between setups, so
   // upserts pile into the 2-slot ring and spill.
-  std::vector<ShardWorld::Node*> nodes;
+  std::vector<World::Node*> nodes;
   for (int k = 0; k < 5; ++k) nodes.push_back(&w.add_agent(0));
   for (auto* n : nodes) ASSERT_TRUE(w.converge(*n));
   w.advance(200 * kMilli);  // publish ticks carry the loss; resync runs
 
-  EXPECT_GE(w.ric.directory_resyncs(), 1u)
+  EXPECT_GE(w.ric->directory_resyncs(), 1u)
       << "lost directory events must trigger a snapshot resync";
-  EXPECT_EQ(w.ric.directory().num_agents(), 5u)
+  EXPECT_EQ(w.ric->directory().num_agents(), 5u)
       << "the merged view must converge to the truth despite the overflow";
 }
 
@@ -567,8 +567,8 @@ TEST(ShardedResync, EventRingOverflowTriggersSnapshotRecovery) {
 // ---------------------------------------------------------------------------
 
 std::string run_shard_scenario(std::uint64_t seed, std::uint32_t shards) {
-  ShardWorld w(shards);
-  std::vector<ShardWorld::Node*> nodes;
+  World w(shards);
+  std::vector<World::Node*> nodes;
   for (std::uint32_t s = 0; s < shards; ++s) {
     auto& n = w.add_agent(s, 0, e2ap::NodeType::gnb, {},
                           seed * 1000003 + s);

@@ -11,7 +11,7 @@
 #include "ctrl/json.hpp"
 #include "ctrl/rest.hpp"
 #include "ctrl/supervision_rest.hpp"
-#include "shard_world.hpp"
+#include "world.hpp"
 
 namespace flexric::test {
 namespace {
@@ -73,15 +73,15 @@ TEST(CounterBoard, StaleEpochPublishIsDropped) {
 // ---------------------------------------------------------------------------
 
 TEST(Watchdog, HealthyWhileBeating) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   w.advance(kSecond);
   for (std::uint32_t i = 0; i < 2; ++i)
-    EXPECT_EQ(w.ric.supervisor().health(i), ShardHealth::healthy);
-  EXPECT_EQ(w.ric.supervisor().stats().quarantines, 0u);
+    EXPECT_EQ(w.ric->supervisor().health(i), ShardHealth::healthy);
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines, 0u);
 }
 
 TEST(Watchdog, DetectsWedgedShardWithinDeadline) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   w.advance(100 * kMilli);
   const Nanos wedged_at = w.clock.now();
   w.wedge_shard(1);
@@ -89,31 +89,31 @@ TEST(Watchdog, DetectsWedgedShardWithinDeadline) {
   // watchdog quantum of the wedge (the configured deadline).
   const Nanos deadline = 200 * kMilli + 10 * kMilli + kMilli;
   w.advance(deadline);
-  EXPECT_EQ(w.ric.supervisor().stats().quarantines, 1u)
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines, 1u)
       << "wedged shard not detected within the deadline";
   EXPECT_GE(w.detect_at, wedged_at);
   EXPECT_LE(w.detect_at - wedged_at, deadline);
-  EXPECT_EQ(w.ric.supervisor().health(0), ShardHealth::healthy)
+  EXPECT_EQ(w.ric->supervisor().health(0), ShardHealth::healthy)
       << "healthy shard must be untouched";
 }
 
 TEST(Watchdog, DegradedShardRecoversOnlyAfterHysteresis) {
-  ShardWorld w(1, sup_cfg(), /*supervised=*/true);
+  World w(1, sup_cfg(), /*supervised=*/true);
   w.advance(100 * kMilli);
   // Silence the shard long enough to degrade but not to quarantine.
   w.wedge_shard(0);
   w.advance(100 * kMilli);
-  EXPECT_EQ(w.ric.supervisor().health(0), ShardHealth::degraded);
+  EXPECT_EQ(w.ric->supervisor().health(0), ShardHealth::degraded);
   // Un-wedge by hand (the handler came back on its own — no restart).
   for (auto& n : w.nodes) n->link->set_tx_credit(-1);
   w.unwedge_shard(0);
   // One fresh poll is not enough; recover_hysteresis=3 consecutive are.
   w.advance(kMilli);
-  EXPECT_EQ(w.ric.supervisor().health(0), ShardHealth::degraded);
+  EXPECT_EQ(w.ric->supervisor().health(0), ShardHealth::degraded);
   w.advance(10 * kMilli);
-  EXPECT_EQ(w.ric.supervisor().health(0), ShardHealth::healthy);
-  EXPECT_EQ(w.ric.supervisor().stats().quarantines, 0u);
-  EXPECT_EQ(w.pool.restarts(), 0u) << "degraded alone must not restart";
+  EXPECT_EQ(w.ric->supervisor().health(0), ShardHealth::healthy);
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines, 0u);
+  EXPECT_EQ(w.pool->restarts(), 0u) << "degraded alone must not restart";
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ TEST(Watchdog, DegradedShardRecoversOnlyAfterHysteresis) {
 // ---------------------------------------------------------------------------
 
 TEST(Containment, InFlightQueryFailsFastAndNewQueriesAreRejected) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   auto& n = w.add_agent(1, 0, e2ap::NodeType::gnb, {}, 1);
   (void)n;
   ASSERT_TRUE(w.converge(*w.nodes[0]));
@@ -129,7 +129,7 @@ TEST(Containment, InFlightQueryFailsFastAndNewQueriesAreRejected) {
 
   std::vector<std::string> outcomes;
   ASSERT_TRUE(w.ric
-                  .query(
+                  ->query(
                       1, [](server::E2Server&) { return std::string("x"); },
                       [&](Result<std::string> r) {
                         outcomes.push_back(r.is_ok() ? "ok"
@@ -147,32 +147,32 @@ TEST(Containment, InFlightQueryFailsFastAndNewQueriesAreRejected) {
   // the shard accepts again. But against a *non-auto-restart* world the
   // refusal is observable: exercise it through a second wedge with the
   // budget spent.
-  EXPECT_GE(w.ric.queries_failed(), 1u);
+  EXPECT_GE(w.ric->queries_failed(), 1u);
 }
 
 TEST(Containment, QuarantinedShardRefusesQueriesWhenNotAutoRestarted) {
   server::ShardedConfig cfg = sup_cfg();
   cfg.supervise.auto_restart = false;
-  ShardWorld w(2, cfg, /*supervised=*/true);
+  World w(2, cfg, /*supervised=*/true);
   w.advance(100 * kMilli);
   w.wedge_shard(1);
   w.advance(300 * kMilli);
-  ASSERT_EQ(w.ric.supervisor().health(1), ShardHealth::quarantined);
-  EXPECT_FALSE(w.ric.accepting(1));
-  Status st = w.ric.query(
+  ASSERT_EQ(w.ric->supervisor().health(1), ShardHealth::quarantined);
+  EXPECT_FALSE(w.ric->accepting(1));
+  Status st = w.ric->query(
       1, [](server::E2Server&) { return std::string(); },
       [](Result<std::string>) {});
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(st.code(), Errc::rejected);
-  EXPECT_FALSE(w.ric.post_to_shard(1, [] {}).is_ok());
+  EXPECT_FALSE(w.ric->post_to_shard(1, [] {}).is_ok());
   // Healthy shard is unaffected.
-  EXPECT_TRUE(w.ric.post_to_shard(0, [] {}).is_ok());
+  EXPECT_TRUE(w.ric->post_to_shard(0, [] {}).is_ok());
   // Manual recovery path: the operator restarts it.
-  w.ric.supervisor().restart(1);
-  EXPECT_EQ(w.ric.supervisor().health(1), ShardHealth::recovering);
-  EXPECT_TRUE(w.ric.accepting(1));
+  w.ric->supervisor().restart(1);
+  EXPECT_EQ(w.ric->supervisor().health(1), ShardHealth::recovering);
+  EXPECT_TRUE(w.ric->accepting(1));
   w.advance(100 * kMilli);
-  EXPECT_EQ(w.ric.supervisor().health(1), ShardHealth::healthy);
+  EXPECT_EQ(w.ric->supervisor().health(1), ShardHealth::healthy);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ TEST(Containment, QuarantinedShardRefusesQueriesWhenNotAutoRestarted) {
 // ---------------------------------------------------------------------------
 
 TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(0);
@@ -194,7 +194,7 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
   ASSERT_EQ(w.fanout_delivered, 2u);
   const std::string dir_before = [&] {
     std::ostringstream o;
-    for (auto id : w.ric.directory().agents()) o << id << ",";
+    for (auto id : w.ric->directory().agents()) o << id << ",";
     return o.str();
   }();
 
@@ -206,13 +206,13 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
     b.fn->emit(b.ctrl);
     w.advance(50 * kMilli);
   }
-  EXPECT_EQ(w.ric.supervisor().stats().quarantines, 1u);
-  EXPECT_EQ(w.ric.supervisor().stats().restarts, 1u);
-  EXPECT_EQ(w.pool.restarts(), 1u);
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines, 1u);
+  EXPECT_EQ(w.ric->supervisor().stats().restarts, 1u);
+  EXPECT_EQ(w.pool->restarts(), 1u);
 
   // Give the re-home time: reconnect, subscription replay, resync.
   w.advance(2 * kSecond);
-  EXPECT_EQ(w.ric.supervisor().health(1), ShardHealth::healthy);
+  EXPECT_EQ(w.ric->supervisor().health(1), ShardHealth::healthy);
   EXPECT_TRUE(w.established(b)) << "agent failed to re-home";
   EXPECT_GE(b.dials, 2) << "re-home must be a fresh dial";
 
@@ -221,7 +221,7 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
   w.settle();
   const std::string dir_after = [&] {
     std::ostringstream o;
-    for (auto id : w.ric.directory().agents()) o << id << ",";
+    for (auto id : w.ric->directory().agents()) o << id << ",";
     return o.str();
   }();
   EXPECT_EQ(dir_before, dir_after) << "ghost or missing directory entries";
@@ -236,11 +236,11 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
   EXPECT_GT(w.first_redelivery_at, w.detect_at);
 
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(1);
@@ -256,18 +256,18 @@ TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
     w.advance(100 * kMilli);
   }
   w.advance(2 * kSecond);
-  EXPECT_EQ(w.ric.supervisor().health(1), ShardHealth::healthy);
+  EXPECT_EQ(w.ric->supervisor().health(1), ShardHealth::healthy);
   EXPECT_TRUE(w.established(a));
   const std::uint64_t before = w.fanout_delivered;
   a.fn->emit(a.ctrl);
   w.advance(20 * kMilli);
   EXPECT_GT(w.fanout_delivered, before);
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
-  ShardWorld w(1, sup_cfg(), /*supervised=*/true);
+  World w(1, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(0);
@@ -279,7 +279,7 @@ TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
   a.fn->emit(a.ctrl);
   a.fn->emit(a.ctrl);
   a.fn->emit(a.ctrl);
-  for (int i = 0; i < 10; ++i) w.pool.pump_shard(0, 8);
+  for (int i = 0; i < 10; ++i) w.pool->pump_shard(0, 8);
   EXPECT_EQ(w.fanout_delivered, 0u) << "indications must be parked";
 
   // Quarantine + rebuild before the home side ever drains them: the parked
@@ -288,21 +288,21 @@ TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
   // settle — a settle would pump home and deliver the parked frames, which
   // is exactly what this fault must prevent.
   w.wedge_shard_raw(0);
-  const std::uint64_t shed_before = w.ric.supervisor_shed();
+  const std::uint64_t shed_before = w.ric->supervisor_shed();
   // advance() pumps home too, but the fan-out ring drains only via
   // pump_home... which would deliver them. Drive the supervisor directly.
-  for (Nanos t = w.clock.now(); w.ric.supervisor().stats().restarts == 0;) {
+  for (Nanos t = w.clock.now(); w.ric->supervisor().stats().restarts == 0;) {
     t += 10 * kMilli;
     w.clock.set(t);
-    w.ric.supervisor().poll(t);
+    w.ric->supervisor().poll(t);
     ASSERT_LT(t, 10 * kSecond);
   }
-  EXPECT_GE(w.ric.supervisor_shed(), shed_before + 3)
+  EXPECT_GE(w.ric->supervisor_shed(), shed_before + 3)
       << "parked fan-out must land in supervisor_shed";
   w.unwedge_shard(0);
   w.advance(2 * kSecond);
   w.settle();
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
 }
 
 // A CONTROL frame the ingest queue sheds was never an indication: a burst of
@@ -312,7 +312,7 @@ TEST(Recovery, ShedControlFramesStayOutOfTheIndicationLedger) {
   server::ShardedConfig cfg = sup_cfg();
   cfg.server.overload.enabled = true;
   cfg.server.overload.control_queue = 2;
-  ShardWorld w(1, cfg, /*supervised=*/true);
+  World w(1, cfg, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(0);
@@ -320,15 +320,71 @@ TEST(Recovery, ShedControlFramesStayOutOfTheIndicationLedger) {
   w.advance(50 * kMilli);
   a.fn->emit(a.ctrl);
   for (int i = 0; i < 16; ++i)
-    (void)w.ric.shard_server(0).send_control(a.id, 200, Buffer{0x01},
+    (void)w.ric->shard_server(0).send_control(a.id, 200, Buffer{0x01},
                                              Buffer{0x02}, {});
   w.advance(50 * kMilli);
   w.settle();
   ASSERT_EQ(w.fanout_delivered, 1u);
-  const ShardLedger g = w.ric.global_ledger();
+  const ShardLedger g = w.ric->global_ledger();
   EXPECT_GT(g.queue_shed, g.data_queue_shed)
       << "the ack burst was supposed to shed CONTROL frames";
-  w.expect_supervised_reconciles();
+  w.expect_reconciles();
+}
+
+// A rebuild destroys whatever waits in the dead shard's ingest queue. Only
+// the DATA share of that backlog was ever an indication: CONTROL frames
+// stranded there (control acks whose drain never ran) must leave the
+// indication ledger exact, and the whole backlog must keep the server
+// ledger closed.
+TEST(Recovery, StrandedControlFramesStayOutOfTheIndicationLedger) {
+  server::ShardedConfig cfg = sup_cfg();
+  cfg.server.overload.enabled = true;
+  cfg.server.overload.dispatch_batch = 1;  // one frame per loop turn
+  World w(1, cfg, /*supervised=*/true);
+  w.agent_rc = fast_rc();
+  w.enable_fanout();
+  auto& a = w.add_agent(0);
+  ASSERT_TRUE(w.converge(a));
+  w.advance(50 * kMilli);
+  a.fn->emit(a.ctrl);
+  w.settle();
+  ASSERT_EQ(w.fanout_delivered, 1u);
+
+  // Four control acks and two indications reach the shard in one loop
+  // turn, which dispatches one frame and posts the rest of the drain for
+  // the next turn, which never comes.
+  for (int i = 0; i < 4; ++i)
+    (void)w.ric->shard_server(0).send_control(a.id, 200, Buffer{0x01},
+                                              Buffer{0x02}, {});
+  a.fn->emit(a.ctrl);
+  a.fn->emit(a.ctrl);
+  const auto& ingest = w.ric->shard_server(0).ingest_queue();
+  for (int turn = 0; turn < 8 && ingest.size() == 0; ++turn)
+    w.pool->pump_shard(0, 1);
+  const std::size_t stranded_ctrl =
+      ingest.queue(overload::MsgClass::control).size();
+  const std::size_t stranded_data =
+      ingest.queue(overload::MsgClass::data).size();
+  ASSERT_GT(stranded_ctrl, 0u) << "no CONTROL frame stranded";
+  ASSERT_GT(stranded_data, 0u) << "no indication stranded";
+
+  w.wedge_shard_raw(0);
+  for (Nanos t = w.clock.now(); w.ric->supervisor().stats().restarts == 0;) {
+    t += 10 * kMilli;
+    w.clock.set(t);
+    w.ric->supervisor().poll(t);
+    ASSERT_LT(t, 10 * kSecond);
+  }
+  // The whole backlog is counted once, in the retired ledger, so the
+  // server equation still closes; only its DATA share is an indication.
+  EXPECT_EQ(w.ric->global_ledger().stranded, stranded_ctrl + stranded_data);
+  EXPECT_TRUE(reconcile(w.ric->global_ledger()).closes())
+      << counters_text(w.ric->global_ledger());
+  EXPECT_EQ(w.ric->supervisor_shed(), stranded_data);
+  w.unwedge_shard(0);
+  w.advance(2 * kSecond);
+  w.settle();
+  w.expect_reconciles();
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +396,7 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
   // snapshot resyncs while agents churn.
   server::ShardedConfig cfg = sup_cfg();
   cfg.event_ring = 2;
-  ShardWorld w(2, cfg, /*supervised=*/true);
+  World w(2, cfg, /*supervised=*/true);
   w.agent_rc = fast_rc();
 
   // A stable population plus churners that attach/detach while snapshots
@@ -350,7 +406,7 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
   ASSERT_TRUE(w.converge(stable0));
   ASSERT_TRUE(w.converge(stable1));
 
-  std::vector<ShardWorld::Node*> churners;
+  std::vector<World::Node*> churners;
   for (int i = 0; i < 6; ++i)
     churners.push_back(&w.add_agent(static_cast<std::uint32_t>(i % 2)));
   for (auto* c : churners) ASSERT_TRUE(w.converge(*c));
@@ -367,13 +423,13 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
   }
   w.advance(kSecond);
   w.settle();
-  EXPECT_GT(w.ric.directory_resyncs(), 0u)
+  EXPECT_GT(w.ric->directory_resyncs(), 0u)
       << "test did not actually exercise the resync path";
 
   // Converged view: every live agent exactly once, no ghosts of any dead
   // incarnation, in both directions. Churners re-attached to a LIVE server,
   // so their ids drifted — re-discover before comparing.
-  const auto ids = w.ric.directory().agents();
+  const auto ids = w.ric->directory().agents();
   EXPECT_EQ(ids.size(), 2u + churners.size())
       << "ghost or duplicate directory entries";
   for (const auto& n : w.nodes) {
@@ -391,18 +447,18 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
 // ---------------------------------------------------------------------------
 
 TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
-  ShardWorld w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.advance(100 * kMilli);
   w.wedge_shard(1);
   w.advance(kSecond);  // detect + rebuild + recover
-  ASSERT_EQ(w.ric.supervisor().stats().restarts, 1u);
+  ASSERT_EQ(w.ric->supervisor().stats().restarts, 1u);
 
   // The REST layer renders supervisor state; drive the handlers directly
   // (the HTTP plumbing itself is covered by the REST tests).
   Reactor r;
   ctrl::HttpServer http(r);
-  ctrl::SupervisionRest rest(http, w.ric);
+  ctrl::SupervisionRest rest(http, *w.ric);
   ASSERT_TRUE(http.listen(0).is_ok());
   std::string shards_body, sup_body;
   // The release store publishes the bodies written before it; the main
@@ -444,13 +500,12 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded kill/recover chaos soak: 12 seeds x {1,2,4} shards, double-run
+// Seeded kill/recover chaos soak: {1,2,4} shards x seeds, double-run
 // byte-identical, every agent re-homed, ledger exact
 // ---------------------------------------------------------------------------
 
-std::string soak_run(std::uint64_t seed) {
-  const std::uint32_t shards = soak_shards(seed);
-  ShardWorld w(shards, sup_cfg(), /*supervised=*/true);
+std::string soak_run(std::uint32_t shards, std::uint64_t seed) {
+  World w(shards, sup_cfg(), /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
 
@@ -460,7 +515,7 @@ std::string soak_run(std::uint64_t seed) {
     rng = rng * 6364136223846793005ull + 1442695040888963407ull;
     return static_cast<std::uint32_t>(rng >> 33);
   };
-  std::vector<ShardWorld::Node*> agents;
+  std::vector<World::Node*> agents;
   for (std::uint32_t s = 0; s < shards; ++s) {
     const int count = 1 + static_cast<int>(next() % 2);
     for (int i = 0; i < count; ++i) agents.push_back(&w.add_agent(s, 0));
@@ -482,7 +537,6 @@ std::string soak_run(std::uint64_t seed) {
     ShardFault f;
     f.kind = crash ? ShardFault::Kind::crash : ShardFault::Kind::wedge;
     f.shard = victim;
-    f.nth = nth;
     w.inject(f);
     // Emit through the outage: victims buffer/shed, the rest flow.
     for (int i = 0; i < 6; ++i) {
@@ -500,26 +554,28 @@ std::string soak_run(std::uint64_t seed) {
   // Final drain: flush buffered backlogs, then reconcile the world.
   w.advance(2 * kSecond);
   w.settle();
-  w.expect_supervised_reconciles();
-  EXPECT_EQ(w.ric.supervisor().stats().quarantines,
-            w.ric.supervisor().stats().recoveries)
+  w.expect_reconciles();
+  w.expect_converged();
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines,
+            w.ric->supervisor().stats().recoveries)
       << "seed " << seed << ": a quarantined shard never recovered";
   return w.trace();
 }
 
-class SuperviseSoak : public ::testing::TestWithParam<std::uint64_t> {};
+class SuperviseSoak : public ::testing::TestWithParam<SoakParam> {};
 
 TEST_P(SuperviseSoak, KillRecoverReconcileAndReplayByteIdentically) {
-  const std::uint64_t seed = GetParam();
-  const std::string run1 = soak_run(seed);
-  if (::testing::Test::HasFailure()) return;  // don't double-report
-  const std::string run2 = soak_run(seed);
-  EXPECT_EQ(run1, run2) << "seed " << seed
-                        << ": supervised world is not deterministic";
+  const auto [shards, seed] = GetParam();
+  SCOPED_TRACE("seed " + std::to_string(seed) + " on " +
+               server_name(shards) + " reproduces this run");
+  expect_replays([&] { return soak_run(shards, seed); });
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SuperviseSoak,
-                         ::testing::Range<std::uint64_t>(1, 13));
+INSTANTIATE_TEST_SUITE_P(
+    Shards, SuperviseSoak,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u),
+                       ::testing::Range<std::uint64_t>(1, 13)),
+    soak_name);
 
 }  // namespace
 }  // namespace flexric::test

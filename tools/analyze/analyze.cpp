@@ -457,10 +457,8 @@ int main(int argc, char** argv) {
   for (const auto& f : findings)
     std::printf("%s\n", render(f, fix_suggestions).c_str());
   if (findings.empty()) {
-    std::printf("flexric-analyze: clean (%zu files, %zu nodiscard fns, %zu "
-                "affine classes)\n",
-                corpus.files.size(), corpus.nodiscard_fns.size(),
-                corpus.affine_classes.size());
+    std::printf("flexric-analyze: clean (%zu files, %zu affine classes)\n",
+                corpus.files.size(), corpus.affine_classes.size());
     return 0;
   }
   std::printf("flexric-analyze: %zu finding(s)\n", findings.size());

@@ -22,10 +22,8 @@ bool decl_is_conduit(const Tokens& t, std::size_t lo, std::size_t hi) {
   return false;
 }
 
-void register_file(const FileUnit& f, const FileIndex& ix, Corpus& corpus,
-                   std::set<std::string>* other_ret) {
+void register_file(const FileUnit& f, Corpus& corpus) {
   const Tokens& t = f.lx.tokens;
-  const ScopeInfo& scopes = ix.scopes;
   for (std::size_t i = 0; i + 2 < t.size(); ++i) {
     // Class annotations: `// @affine(<domain>)` / `// @hotpath` within two
     // lines above (or on the line of) a class/struct declaration.
@@ -49,67 +47,6 @@ void register_file(const FileUnit& f, const FileIndex& ix, Corpus& corpus,
           corpus.affine_classes.insert(t[i + 1].text);
         }
         if (hot) ci.hotpath = true;
-      }
-    }
-    // Status/Result-returning function declarations at declaration scope.
-    if (scopes.func_depth[i] != 0) continue;
-    bool is_status = is_ident(t[i], "Status");
-    bool is_result = is_ident(t[i], "Result");
-    if (!is_status && !is_result) continue;
-    std::size_t j = i + 1;
-    if (is_result) {
-      std::size_t after = skip_template_args(t, j);
-      if (after == j) continue;  // `Result` without template args: not a type
-      j = after;
-    }
-    // Qualified-id: name (:: name)* then '('. Register the last segment.
-    if (j >= t.size() || t[j].kind != Tok::identifier) continue;
-    std::string name = t[j].text;
-    ++j;
-    while (j + 1 < t.size() && is_punct(t[j], "::") &&
-           t[j + 1].kind == Tok::identifier) {
-      name = t[j + 1].text;
-      j += 2;
-    }
-    if (j < t.size() && is_punct(t[j], "(")) corpus.nodiscard_fns.insert(name);
-  }
-  // Second pass: names also declared with a NON-Status/Result return type.
-  // The registry is name-based (no type inference at call sites), so the
-  // symmetric serde pattern — `void BufWriter::u32(v)` next to
-  // `Result<u32> BufReader::u32()` — would otherwise flag every writer call.
-  // Ambiguous names are subtracted in build_registry.
-  for (std::size_t i = 2; i + 1 < t.size(); ++i) {
-    if (!is_punct(t[i], "(")) continue;
-    if (scopes.func_depth[i] != 0) continue;
-    if (t[i - 1].kind != Tok::identifier) continue;
-    const std::string& name = t[i - 1].text;
-    // Walk back over the qualified-id (`Foo::bar` → before `Foo`).
-    std::size_t j = i - 1;
-    while (j >= 2 && is_punct(t[j - 1], "::") &&
-           t[j - 2].kind == Tok::identifier)
-      j -= 2;
-    if (j == 0) continue;
-    const Token& tail = t[j - 1];
-    if (is_punct(tail, "*") || is_punct(tail, "&")) {
-      other_ret->insert(name);  // pointer/reference return: value optional
-    } else if (tail.kind == Tok::identifier) {
-      if (tail.text != "Status" && tail.text != "Result" &&
-          tail.text != "explicit" && tail.text != "return" &&
-          tail.text != "new")
-        other_ret->insert(name);
-    } else if (is_punct(tail, ">")) {
-      // Templated return type: resolve the head identifier before the '<'.
-      int depth = 0;
-      for (std::size_t k = j; k-- > 0;) {
-        if (is_punct(t[k], ">")) ++depth;
-        if (is_punct(t[k], ">>")) depth += 2;
-        if (is_punct(t[k], "<") && --depth == 0) {
-          if (k >= 1 && t[k - 1].kind == Tok::identifier &&
-              t[k - 1].text != "Result")
-            other_ret->insert(name);
-          break;
-        }
-        if (depth < 0) break;
       }
     }
   }
@@ -301,76 +238,6 @@ void rule_posted_lambda(const FileUnit& f, std::vector<Finding>* out) {
       }
       j = after - 1;
     }
-  }
-}
-
-void rule_nodiscard(const FileUnit& f, const ScopeInfo& scopes,
-                    const Corpus& corpus, std::vector<Finding>* out) {
-  const Tokens& t = f.lx.tokens;
-  for (std::size_t i = 1; i + 1 < t.size(); ++i) {
-    if (scopes.func_depth[i] == 0) continue;
-    if (t[i].kind != Tok::identifier) continue;
-    const Token& prev = t[i - 1];
-    // Chain head must sit at statement position.
-    if (is_punct(prev, ".") || is_punct(prev, "->") || is_punct(prev, "::"))
-      continue;
-    bool stmt_pos = is_punct(prev, ";") || is_punct(prev, "{") ||
-                    is_punct(prev, "}") || is_ident(prev, "else") ||
-                    is_punct(prev, ":");
-    if (!stmt_pos && is_punct(prev, ")")) {
-      // `(void) call()` is the sanctioned explicit discard; any other `)`
-      // before the head is a control-flow header: `if (...) call();`.
-      std::size_t open = match_paren_back(t, i - 1);
-      bool voided = (i - 1) - open == 2 && is_ident(t[open + 1], "void");
-      if (voided) continue;
-      stmt_pos = true;
-    }
-    if (!stmt_pos) continue;
-    // Walk the call chain: a.b()->c(); the final called name decides.
-    std::size_t j = i;
-    std::string last_called;
-    int last_call_line = 0;
-    while (j < t.size()) {
-      if (t[j].kind != Tok::identifier) break;
-      std::string name = t[j].text;
-      ++j;
-      while (j + 1 < t.size() && is_punct(t[j], "::") &&
-             t[j + 1].kind == Tok::identifier) {
-        name = t[j + 1].text;
-        j += 2;
-      }
-      if (j < t.size() && is_punct(t[j], "(")) {
-        int line = t[j].line;
-        j = skip_balanced(t, j);
-        last_called = name;
-        last_call_line = line;
-        if (j < t.size() && (is_punct(t[j], ".") || is_punct(t[j], "->"))) {
-          ++j;
-          continue;
-        }
-        break;
-      }
-      if (j < t.size() && (is_punct(t[j], ".") || is_punct(t[j], "->"))) {
-        ++j;
-        last_called.clear();
-        continue;
-      }
-      last_called.clear();
-      break;
-    }
-    if (last_called.empty() || j >= t.size() || !is_punct(t[j], ";")) continue;
-    if (corpus.nodiscard_fns.count(last_called) == 0) continue;
-    if (suppressed(f, last_call_line, "nodiscard-status")) continue;
-    Finding fd;
-    fd.file = f.rel;
-    fd.line = last_call_line;
-    fd.rule = "nodiscard-status";
-    fd.message = "discarded result of " + last_called +
-                 "() which returns Status/Result";
-    fd.suggestion =
-        "branch on is_ok() / wrap in FLEXRIC_TRY(...), or write "
-        "`(void)" + last_called + "(...)` to document fire-and-forget";
-    out->push_back(std::move(fd));
   }
 }
 
@@ -758,14 +625,9 @@ void build_registry(Corpus& corpus) {
   corpus.index.reserve(corpus.files.size());
   for (const auto& f : corpus.files) corpus.file_set.insert(f.rel);
   for (const auto& f : corpus.files) corpus.index.push_back(build_file_index(f.lx));
-  std::set<std::string> other_ret;
-  for (std::size_t i = 0; i < corpus.files.size(); ++i)
-    register_file(corpus.files[i], corpus.index[i], corpus, &other_ret);
+  for (const auto& f : corpus.files) register_file(f, corpus);
   for (std::size_t i = 0; i < corpus.files.size(); ++i)
     register_fields(corpus.files[i], corpus.index[i], corpus);
-  // Drop ambiguous names: a call site has no type info, so a name declared
-  // both ways (serde writers vs readers) cannot be checked soundly.
-  for (const auto& name : other_ret) corpus.nodiscard_fns.erase(name);
   // View/atomics registries (view_pass.cpp, atomics_pass.cpp) run after the
   // class registry so @hotpath class membership is known.
   corpus.view_types = {"span", "string_view", "BytesView", "BufferView"};
@@ -787,8 +649,6 @@ std::vector<Finding> run_rules(const Corpus& corpus,
                           f.category == "examples";
     if (rules.count("posted-lambda-lifetime") && impl_cat)
       rule_posted_lambda(f, &out);
-    if (rules.count("nodiscard-status") && impl_cat)
-      rule_nodiscard(f, scopes, corpus, &out);
     if (rules.count("blocking-in-handler") && impl_cat)
       rule_blocking(f, &out);
     if (rules.count("affinity-annotation")) rule_affinity(f, scopes, corpus, &out);

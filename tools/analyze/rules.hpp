@@ -1,8 +1,10 @@
 // Rule engine for the FlexRIC static analyzer.
 //
-// Fourteen rules, all running on the token stream (and the comment/directive
+// Thirteen rules, all running on the token stream (and the comment/directive
 // side tables) from lexer.hpp over the shared symbol/annotation index from
-// index.hpp (not line regexes — DESIGN.md §7, §10, §12):
+// index.hpp (not line regexes — DESIGN.md §7, §10, §12). A discarded
+// Status/Result is the compiler's to catch, not a rule: both are
+// `class [[nodiscard]]` and the build passes -Werror=unused-result.
 //
 //   posted-lambda-lifetime  a lambda literal passed to post()/add_timer()/
 //                           call_soon() that captures `this` or a raw
@@ -10,12 +12,6 @@
 //                           (std::weak_ptr guard or a capture named alive/
 //                           guard/self/...), else destroying the owner with
 //                           the task in flight is a use-after-free.
-//   nodiscard-status        a statement-position call chain ending in a
-//                           function that returns Status/Result<T> must not
-//                           discard the value; `(void)call()` documents a
-//                           deliberate fire-and-forget. The registry of
-//                           Status/Result-returning function names is built
-//                           from the scanned sources themselves.
 //   blocking-in-handler     sleep/blocking-syscall primitives are banned in
 //                           reactor-affine code (src/ outside src/transport/)
 //                           and inside any lambda posted to the reactor.
@@ -107,7 +103,7 @@ namespace flexric::analyze {
 
 /// One declared `std::atomic<...>` data member or namespace-scope global,
 /// keyed by name in Corpus::atomic_fields (the analyzer has no type
-/// inference at use sites, so the join is name-based like nodiscard_fns).
+/// inference at use sites, so the join is name-based).
 struct AtomicField {
   std::string file;
   int line = 0;
@@ -159,8 +155,6 @@ struct Corpus {
   /// Parallel to `files`: shared scope/function/annotation index, built once
   /// by build_registry().
   std::vector<FileIndex> index;
-  /// Names of functions whose return type is Status or Result<...>.
-  std::set<std::string> nodiscard_fns;
   /// Class names annotated `// @affine(<domain>)` (any domain).
   std::set<std::string> affine_classes;
   /// Annotated classes (`@affine(<domain>)` and/or `@hotpath`) with their
@@ -201,7 +195,6 @@ struct Corpus {
 
 inline const char* const kAllRules[] = {
     "posted-lambda-lifetime",
-    "nodiscard-status",
     "blocking-in-handler",
     "affinity-annotation",
     "bounded-queue",
@@ -216,8 +209,8 @@ inline const char* const kAllRules[] = {
     "thread-primitives",
 };
 
-/// Populate corpus.index, file_set and the symbol registries (nodiscard_fns,
-/// affine_classes, classes) from corpus.files.
+/// Populate corpus.index, file_set and the symbol registries
+/// (affine_classes, classes) from corpus.files.
 void build_registry(Corpus& corpus);
 
 /// Run the selected rules; findings are suppression-filtered, in file
