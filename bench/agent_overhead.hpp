@@ -55,7 +55,10 @@ inline OverheadResult run_agent_scenario(AgentKind kind,
       }
     } else {
       ric = std::make_unique<server::E2Server>(
-          reactor, server::E2Server::Config{21, WireFormat::flat, {}});
+          reactor, server::E2Server::Config{.ric_id = 21,
+                                            .e2ap_format = WireFormat::flat,
+                                            .quarantine_after = 3 * kSecond,
+                                            .expire_after = 10 * kSecond});
       monitor = std::make_shared<ctrl::MonitorIApp>(
           ctrl::MonitorIApp::Config{WireFormat::flat, 1});
       ric->add_iapp(monitor);

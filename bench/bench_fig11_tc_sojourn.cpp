@@ -56,7 +56,10 @@ Run run_scenario(bool with_xapp, int seconds) {
   agent::E2Agent agent(reactor, {{20899, 1, e2ap::NodeType::enb}, kFmt});
   ran::BsFunctionBundle functions(bs, agent, kFmt);
 
-  server::E2Server ric(reactor, {21, kFmt, {}});
+  server::E2Server ric(reactor, {.ric_id = 21,
+                                 .e2ap_format = kFmt,
+                                 .quarantine_after = 3 * kSecond,
+                                 .expire_after = 10 * kSecond});
   ctrl::Broker broker(reactor);
   ctrl::MonitorIApp::Config mon_cfg{kFmt, 10};
   mon_cfg.broker = &broker;

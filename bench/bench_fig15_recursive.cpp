@@ -23,6 +23,16 @@ using namespace flexric::bench;
 namespace {
 
 constexpr WireFormat kFmt = WireFormat::flat;
+
+/// Controller config with liveness on: quarantine after 3 s of silence,
+/// expire after 10 s.
+server::E2Server::Config ctrl_cfg(std::uint32_t ric_id) {
+  return {.ric_id = ric_id,
+          .e2ap_format = kFmt,
+          .quarantine_after = 3 * kSecond,
+          .expire_after = 10 * kSecond};
+}
+
 constexpr std::uint32_t kPlmnA = 100, kPlmnB = 200;
 constexpr int kSeconds = 50;
 constexpr int kReportEvery = 5;
@@ -83,7 +93,8 @@ Series run_dedicated() {
   agent::E2Agent agent_b(reactor, {{kPlmnB, 2, e2ap::NodeType::enb}, kFmt});
   ran::BsFunctionBundle fns_a(bs_a, agent_a, kFmt);
   ran::BsFunctionBundle fns_b(bs_b, agent_b, kFmt);
-  server::E2Server ctrl_a(reactor, {101, kFmt, {}}), ctrl_b(reactor, {102, kFmt, {}});
+  server::E2Server ctrl_a(reactor, ctrl_cfg(101));
+  server::E2Server ctrl_b(reactor, ctrl_cfg(102));
   auto slicing_a =
       std::make_shared<ctrl::SlicingIApp>(ctrl::SlicingIApp::Config{kFmt, 100});
   auto slicing_b =
@@ -157,7 +168,8 @@ Series run_shared() {
   (void)agent.add_controller(a_side);
   for (int i = 0; i < 80; ++i) reactor.run_once(0);
 
-  server::E2Server ctrl_a(reactor, {101, kFmt, {}}), ctrl_b(reactor, {102, kFmt, {}});
+  server::E2Server ctrl_a(reactor, ctrl_cfg(101));
+  server::E2Server ctrl_b(reactor, ctrl_cfg(102));
   auto slicing_a =
       std::make_shared<ctrl::SlicingIApp>(ctrl::SlicingIApp::Config{kFmt, 100});
   auto slicing_b =

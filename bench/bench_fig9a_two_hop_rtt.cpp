@@ -32,7 +32,10 @@ double flexric_two_hop_rtt_us(WireFormat fmt, std::size_t payload,
   for (int i = 0; i < 500 && !relay.southbound_ready(); ++i)
     reactor.run_once(1);
 
-  server::E2Server top(reactor, {99, fmt, {}});
+  server::E2Server top(reactor, {.ric_id = 99,
+                                 .e2ap_format = fmt,
+                                 .quarantine_after = 3 * kSecond,
+                                 .expire_after = 10 * kSecond});
   FLEXRIC_ASSERT(top.listen(0).is_ok(), "bench: top listen");
   auto n_conn = TcpTransport::connect(reactor, "127.0.0.1", top.port());
   FLEXRIC_ASSERT(n_conn.is_ok(), "bench: relay northbound connect");

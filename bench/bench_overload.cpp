@@ -96,13 +96,16 @@ StormResult run_storm(int mult) {
   ov.enabled = true;
   ov.control_queue = 256;
   ov.data_queue = 1024;
-  ov.shed_policy = overload::ShedPolicy::fair_per_agent;
   ov.dispatch_batch = 64;
   ov.data_rate = 2000.0;
   ov.data_burst = 100.0;
   ov.flood_threshold = 100000;  // throttle, don't quarantine: measure shedding
   ov.ctrl_deadline = 100 * kMilli;
-  server::E2Server ric(reactor, {21, WireFormat::flat, {}, ov});
+  server::E2Server ric(reactor, {.ric_id = 21,
+                                 .e2ap_format = WireFormat::flat,
+                                 .quarantine_after = 3 * kSecond,
+                                 .expire_after = 10 * kSecond,
+                                 .overload = ov});
 
   struct Node {
     std::unique_ptr<agent::E2Agent> agent;

@@ -192,8 +192,11 @@ inline ControllerLoad run_controller_load(
       out.retained_bytes =
           xapp.db().size() * sizeof(e2sm::mac::UeStats) * 2;
     } else {
-      server::E2Server ric(reactor,
-                           {21, e2_format(kind), {}, overload});
+      server::E2Server ric(reactor, {.ric_id = 21,
+                                     .e2ap_format = e2_format(kind),
+                                     .quarantine_after = 3 * kSecond,
+                                     .expire_after = 10 * kSecond,
+                                     .overload = overload});
       ctrl::MonitorIApp::Config mon_cfg{e2_format(kind), 1};
       // FB: keep the raw (directly queryable) bytes, no decode step.
       // ASN.1: payloads are unusable unparsed — decode every message.

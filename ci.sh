@@ -26,6 +26,7 @@
 # death tests execute there.
 #
 # Usage: ./ci.sh [jobs] [--quick] [--chaos] [--overload] [--tidy]
+#                [--analyze] [--shard] [--supervise]
 #   --quick     configure FLEXRIC_FUZZ_ITERS=1000 for a fast local smoke run;
 #               without it the fuzz battery keeps the CI default (100k).
 #   --chaos     add a resilience soak after the matrix: test_resilience over a
@@ -66,7 +67,11 @@
 #               traces must match
 #               byte-for-byte; MTTR and ledger exactness are asserted per
 #               instance. The default matrix already runs test_supervision in
-#               both ctest legs as the smoke tier; this lane adds TSan.
+#               both ctest legs as the smoke tier; this lane adds TSan. It
+#               then runs bench_supervise --json and diffs its results
+#               against the committed BENCH_supervise.json: the bench runs on
+#               a virtual clock, so every MTTR figure is bit-deterministic
+#               and any difference fails the lane.
 #   --shard     standalone sharded-RIC lane (DESIGN.md §13): TSan build of the
 #               sharding suite, then (1) test_sharding — partitioner, SPSC
 #               rings (incl. the two-thread hammer, a real race under TSan),
@@ -196,9 +201,13 @@ run_supervise_lane() {
   echo "==== [supervise] plain build ===="
   cmake -B "$plain_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_SANITIZE=""
-  cmake --build "$plain_dir" -j "$jobs" --target test_supervision
+  cmake --build "$plain_dir" -j "$jobs" --target test_supervision \
+    bench_supervise
   echo "==== [supervise] suite + 12-seed soak at 1/2/4 shards (plain, double-run determinism) ===="
   "$plain_dir/tests/test_supervision" --gtest_brief=1
+  echo "==== [supervise] bench_supervise vs BENCH_supervise.json ===="
+  "$plain_dir/bench/bench_supervise" --json "$plain_dir/BENCH_supervise.json"
+  diff -u "$root/BENCH_supervise.json" "$plain_dir/BENCH_supervise.json"
   echo "==== [supervise] tsan build ===="
   cmake -B "$tsan_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_FUZZ_ITERS="$fuzz_iters" -DFLEXRIC_SANITIZE="thread"

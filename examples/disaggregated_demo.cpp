@@ -51,7 +51,10 @@ int main() {
   (void)du.register_function(assoc_fn);
 
   // --- Infrastructure controller: primary controller of BOTH agents -------
-  server::E2Server infra(reactor, {1, kFmt, {}, {}});
+  server::E2Server infra(reactor, {.ric_id = 1,
+                                   .e2ap_format = kFmt,
+                                   .quarantine_after = 3 * kSecond,
+                                   .expire_after = 10 * kSecond});
   struct InfraApp final : server::IApp {
     const char* name() const override { return "infra"; }
     void on_ran_formed(const server::RanEntity& e) override {
@@ -81,7 +84,10 @@ int main() {
   }
 
   // --- Specialized controller: attached to the DU only (index 1) ----------
-  server::E2Server specialized(reactor, {2, kFmt, {}, {}});
+  server::E2Server specialized(reactor, {.ric_id = 2,
+                                         .e2ap_format = kFmt,
+                                         .quarantine_after = 3 * kSecond,
+                                         .expire_after = 10 * kSecond});
   auto [sp_a, sp_s] = LocalTransport::make_pair(reactor);
   specialized.attach(sp_s);
   (void)du.add_controller(sp_a);

@@ -24,10 +24,10 @@ int main() {
   // Opt into connection resilience (DESIGN.md §9): a dropped agent is
   // quarantined, retained, and its subscriptions replayed transparently if
   // it returns within the expiry window.
-  ResilienceConfig server_rc;
-  server_rc.quarantine_after = 5 * kSecond;
-  server_rc.expire_after = 30 * kSecond;
-  server::E2Server ric(reactor, {/*ric_id=*/21, kFmt, server_rc});
+  server::E2Server ric(reactor, {.ric_id = 21,
+                                 .e2ap_format = kFmt,
+                                 .quarantine_after = 5 * kSecond,
+                                 .expire_after = 30 * kSecond});
   auto monitor = std::make_shared<ctrl::MonitorIApp>(
       ctrl::MonitorIApp::Config{kFmt, /*period_ms=*/1});
   ric.add_iapp(monitor);

@@ -45,8 +45,14 @@ int main() {
   for (int i = 0; i < 50; ++i) reactor.run_once(0);
 
   // Tenant controllers (the §6.1.2 slicing controller, reused unmodified).
-  server::E2Server tenant_a(reactor, {101, kFmt, {}});
-  server::E2Server tenant_b(reactor, {102, kFmt, {}});
+  const auto tenant_cfg = [](std::uint32_t ric_id) {
+    return server::E2Server::Config{.ric_id = ric_id,
+                                    .e2ap_format = kFmt,
+                                    .quarantine_after = 3 * kSecond,
+                                    .expire_after = 10 * kSecond};
+  };
+  server::E2Server tenant_a(reactor, tenant_cfg(101));
+  server::E2Server tenant_b(reactor, tenant_cfg(102));
   auto slicing_a =
       std::make_shared<ctrl::SlicingIApp>(ctrl::SlicingIApp::Config{kFmt, 100});
   auto slicing_b =

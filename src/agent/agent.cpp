@@ -86,7 +86,7 @@ Result<ControllerId> E2Agent::add_controller(
   ControllerId id = next_conn_id_++;
   Conn& conn = conns_[id];
   conn.pending.configure(cfg_.overload.indication_queue,
-                         cfg_.overload.shed_policy);
+                         overload::ShedPolicy::drop_oldest);
   conn.transport = std::move(transport);
   if (Status st = wire_transport(id); !st.is_ok()) {
     conns_.erase(id);
@@ -103,7 +103,7 @@ Result<ControllerId> E2Agent::add_controller(TransportFactory factory,
   ControllerId id = next_conn_id_++;
   Conn& conn = conns_[id];
   conn.pending.configure(cfg_.overload.indication_queue,
-                         cfg_.overload.shed_policy);
+                         overload::ShedPolicy::drop_oldest);
   conn.factory = std::move(factory);
   conn.rc = rc;
   // Decorrelate jitter across connections sharing one config.
@@ -118,9 +118,7 @@ Result<ControllerId> E2Agent::add_controller(TransportFactory factory,
     stats_.reconnect_failures++;
   }
   conn.transport.reset();
-  conn.attempts = 1;
-  if (!conn.rc.reconnect ||
-      (conn.rc.max_attempts != 0 && conn.attempts >= conn.rc.max_attempts)) {
+  if (!conn.rc.reconnect) {
     conns_.erase(id);
     return Error{Errc::io, "initial dial failed and reconnect disabled"};
   }
@@ -177,8 +175,7 @@ void E2Agent::on_transport_lost(ControllerId id) {
   for (auto& f : functions_) f->on_controller_detached(id);
   // Note: conn.transport is kept alive until replaced — this handler runs
   // from inside the transport's own close path.
-  if (conn.factory && conn.rc.reconnect &&
-      (conn.rc.max_attempts == 0 || conn.attempts < conn.rc.max_attempts)) {
+  if (conn.factory && conn.rc.reconnect) {
     set_state(id, conn, ConnState::reconnecting);
     schedule_reconnect(id);
   } else {
@@ -212,13 +209,6 @@ void E2Agent::try_reconnect(ControllerId id) {
   }
   if (wired) return;
   stats_.reconnect_failures += t.is_ok() ? 0 : 1;
-  conn.attempts++;
-  if (conn.rc.max_attempts != 0 && conn.attempts >= conn.rc.max_attempts) {
-    LOG_WARN("agent", "controller %u: giving up after %u attempts", id,
-             conn.attempts);
-    set_state(id, conn, ConnState::failed);
-    return;
-  }
   set_state(id, conn, ConnState::reconnecting);
   schedule_reconnect(id);
 }
@@ -265,7 +255,7 @@ void E2Agent::heartbeat_tick(ControllerId id) {
   // any sheds since the last report — drops are never silent.
   flush_pending(id);
   if (auto cit = conns_.find(id); cit != conns_.end())
-    maybe_report_sheds(id, cit->second);
+    report_shed_delta(id, cit->second);
 }
 
 void E2Agent::cancel_conn_timers(Conn& conn) {
@@ -330,8 +320,6 @@ Status E2Agent::send_indication(ControllerId origin,
   auto it = conns_.find(origin);
   if (it == conns_.end()) return {Errc::io, "controller connection not open"};
   Conn& conn = it->second;
-  if (cfg_.overload.indication_queue == 0)  // overload buffering disabled
-    return send(origin, e2ap::Msg{ind});
   // Buffered indications must not be overtaken: only try the wire directly
   // when the buffer is empty.
   if (conn.pending.empty()) {
@@ -357,9 +345,9 @@ Status E2Agent::send_indication(ControllerId origin,
 }
 
 void E2Agent::ensure_flush_timer(ControllerId id, Conn& conn) {
-  if (conn.flush_timer != 0 || cfg_.overload.flush_period <= 0) return;
+  if (conn.flush_timer != 0) return;
   conn.flush_timer = reactor_.add_timer(
-      cfg_.overload.flush_period,
+      kFlushPeriod,
       // lint: allow(posted-lambda-lifetime) flush_timer is cancelled by cancel_conn_timers() before this agent is destroyed
       [this, id] { flush_pending(id); }, /*periodic=*/true);
 }
@@ -386,8 +374,7 @@ void E2Agent::flush_pending(ControllerId id) {
   }
 }
 
-void E2Agent::maybe_report_sheds(ControllerId id, Conn& conn) {
-  if (!cfg_.overload.report_sheds) return;
+void E2Agent::report_shed_delta(ControllerId id, Conn& conn) {
   const std::uint64_t total = conn.pending.stats().shed();
   if (total <= conn.sheds_reported) return;
   const std::uint64_t delta = total - conn.sheds_reported;
@@ -467,7 +454,6 @@ void E2Agent::handle(ControllerId id, const e2ap::SetupResponse&) {
     reactor_.cancel_timer(conn.setup_timer);
     conn.setup_timer = 0;
   }
-  conn.attempts = 0;
   conn.backoff_prev = 0;
   conn.ever_established = true;
   set_state(id, conn, ConnState::established);

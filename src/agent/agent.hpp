@@ -28,19 +28,13 @@ namespace flexric::agent {
 /// Agent-side overload protection (DESIGN.md §11): when a controller's TX
 /// buffer hits its capacity cap (see TcpTransport::set_max_tx_buffer),
 /// send_indication() queues into a bounded per-controller buffer instead of
-/// surfacing the error, flushes as the link drains, sheds per `shed_policy`
-/// when the buffer itself fills, and reports shed counts alongside the next
-/// heartbeat — drops are visible at the controller, never silent.
+/// surfacing the error, flushes it every kFlushPeriod as the link drains,
+/// sheds the oldest entry when the buffer itself fills, and reports shed
+/// counts alongside the next heartbeat — drops are visible at the
+/// controller, never silent.
 struct OverloadConfig {
-  /// Per-controller indication buffer (IR messages). 0 restores the
-  /// pre-overload behavior: capacity errors return to the caller directly.
+  /// Per-controller indication buffer (IR messages).
   std::size_t indication_queue = 256;
-  overload::ShedPolicy shed_policy = overload::ShedPolicy::drop_oldest;
-  /// Retry cadence while indications are buffered (0 disables the timer;
-  /// flushes then only happen on heartbeat ticks).
-  Nanos flush_period = 10 * kMilli;
-  /// Piggyback shed-count reports (NodeConfigUpdate) on heartbeat ticks.
-  bool report_sheds = true;
 };
 
 /// Per-connection E2 setup state. `reconnecting` is entered when a resilient
@@ -184,7 +178,6 @@ class E2Agent final : public AgentServices {
     ResilienceConfig rc;
     Rng rng{1};
     Nanos backoff_prev = 0;          ///< last retry delay (jitter input)
-    std::uint32_t attempts = 0;      ///< consecutive failed dial attempts
     Reactor::TimerId retry_timer = 0;
     Reactor::TimerId hb_timer = 0;
     Reactor::TimerId setup_timer = 0;
@@ -219,11 +212,13 @@ class E2Agent final : public AgentServices {
   void start_heartbeat(ControllerId id);
   void heartbeat_tick(ControllerId id);
   // -- overload machinery (all on the reactor thread) --
+  /// Retry cadence while indications are buffered.
+  static constexpr Nanos kFlushPeriod = 10 * kMilli;
   void ensure_flush_timer(ControllerId id, Conn& conn);
   /// Drain buffered indications until the transport pushes back again.
   void flush_pending(ControllerId id);
   /// Tell the controller about sheds it has not heard of yet.
-  void maybe_report_sheds(ControllerId id, Conn& conn);
+  void report_shed_delta(ControllerId id, Conn& conn);
   void cancel_conn_timers(Conn& conn);
   void set_state(ControllerId id, Conn& conn, ConnState s);
 

@@ -2,23 +2,6 @@
 
 namespace flexric::overload {
 
-const char* msg_class_name(MsgClass c) noexcept {
-  switch (c) {
-    case MsgClass::control: return "control";
-    case MsgClass::data: return "data";
-  }
-  return "unknown";
-}
-
-const char* shed_policy_name(ShedPolicy p) noexcept {
-  switch (p) {
-    case ShedPolicy::drop_newest: return "drop_newest";
-    case ShedPolicy::drop_oldest: return "drop_oldest";
-    case ShedPolicy::fair_per_agent: return "fair_per_agent";
-  }
-  return "unknown";
-}
-
 RateLimiter::RateLimiter(double rate_per_sec, double burst)
     : rate_(rate_per_sec),
       burst_(burst > 0.0 ? burst : rate_per_sec),

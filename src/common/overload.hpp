@@ -33,19 +33,14 @@ namespace flexric::overload {
 /// dispatched first.
 enum class MsgClass : std::uint8_t { control = 0, data = 1 };
 
-[[nodiscard]] const char* msg_class_name(MsgClass c) noexcept;
-
 /// What to do when a bounded queue is full and one more message arrives.
 enum class ShedPolicy : std::uint8_t {
-  drop_newest = 0,  ///< reject the arriving message
-  drop_oldest,      ///< evict the head (oldest) to admit the newcomer
+  drop_oldest = 0,  ///< evict the head (oldest) to admit the newcomer
   /// Evict the oldest message of the origin with the most queued messages
   /// (ties broken by lowest origin id), then admit the newcomer. One
   /// flooding origin cannot squeeze out lightly-loaded peers.
   fair_per_agent,
 };
-
-[[nodiscard]] const char* shed_policy_name(ShedPolicy p) noexcept;
 
 /// Component key under which an agent reports shed counts to its controller
 /// (piggybacked on a NodeConfigUpdate next to the heartbeat; payload is one
@@ -90,7 +85,7 @@ struct ShedStats {
   Counter offered;      ///< push() attempts
   Counter admitted;     ///< accepted into the queue
   Counter delivered;    ///< handed out via pop()
-  Counter shed_newest;  ///< rejected at the door (drop_newest / capacity 0)
+  Counter shed_newest;  ///< rejected at the door (capacity 0)
   Counter shed_oldest;  ///< evicted after admission (drop_oldest / fair)
 
   [[nodiscard]] std::uint64_t shed() const noexcept {
@@ -134,10 +129,7 @@ class BoundedQueue {
       stats_.shed_newest.add();
       return false;
     }
-    if (q_.size() >= cap_ && !make_room(origin)) {
-      stats_.shed_newest.add();
-      return false;
-    }
+    if (q_.size() >= cap_) make_room(origin);
     q_.push_back(Item{origin, std::move(value)});
     depth_[origin]++;
     stats_.admitted.add();
@@ -161,7 +153,6 @@ class BoundedQueue {
   [[nodiscard]] bool empty() const noexcept { return q_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return q_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
-  [[nodiscard]] ShedPolicy policy() const noexcept { return policy_; }
   [[nodiscard]] const ShedStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t depth(Origin origin) const noexcept {
     auto it = depth_.find(origin);
@@ -172,15 +163,12 @@ class BoundedQueue {
   }
 
  private:
-  /// Evict per policy to admit a message from `incoming`. Returns false if
-  /// the newcomer itself must be rejected (drop_newest).
-  bool make_room(Origin incoming) {
+  /// Evict per policy to admit a message from `incoming`.
+  void make_room(Origin incoming) {
     switch (policy_) {
-      case ShedPolicy::drop_newest:
-        return false;
       case ShedPolicy::drop_oldest:
         evict_oldest_of([](const Item&) { return true; });
-        return true;
+        return;
       case ShedPolicy::fair_per_agent: {
         // Heaviest origin sheds; lowest id wins ties so replays are exact.
         // When the newcomer's origin is itself the heaviest this degrades
@@ -195,10 +183,9 @@ class BoundedQueue {
         }
         evict_oldest_of(
             [victim](const Item& it) { return it.origin == victim; });
-        return true;
+        return;
       }
     }
-    return false;
   }
 
   template <typename Pred>
@@ -225,7 +212,7 @@ class BoundedQueue {
   }
 
   std::size_t cap_ = 0;
-  ShedPolicy policy_ = ShedPolicy::drop_newest;
+  ShedPolicy policy_ = ShedPolicy::drop_oldest;
   std::deque<Item> q_;
   std::unordered_map<Origin, std::size_t> depth_;
   ShedStats stats_;
@@ -250,15 +237,9 @@ class PriorityQueue {
     T value;
   };
 
-  PriorityQueue() = default;
   explicit PriorityQueue(const Config& cfg)
       : control_(cfg.control_capacity, cfg.policy),
         data_(cfg.data_capacity, cfg.policy) {}
-
-  void configure(const Config& cfg) {
-    control_.configure(cfg.control_capacity, cfg.policy);
-    data_.configure(cfg.data_capacity, cfg.policy);
-  }
 
   bool push(MsgClass cls, Origin origin, T value) {
     return queue(cls).push(origin, std::move(value));

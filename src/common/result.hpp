@@ -86,18 +86,6 @@ class [[nodiscard]] Result {
   [[nodiscard]] bool is_ok() const noexcept { return std::holds_alternative<T>(v_); }
   explicit operator bool() const noexcept { return is_ok(); }
 
-  [[nodiscard]] T& value() & {
-    assert(is_ok());
-    return std::get<T>(v_);
-  }
-  [[nodiscard]] const T& value() const& {
-    assert(is_ok());
-    return std::get<T>(v_);
-  }
-  [[nodiscard]] T&& value() && {
-    assert(is_ok());
-    return std::get<T>(std::move(v_));
-  }
   [[nodiscard]] const Error& error() const {
     assert(!is_ok());
     return std::get<Error>(v_);
@@ -106,12 +94,23 @@ class [[nodiscard]] Result {
     if (is_ok()) return Status::ok();
     return Status{error().code, error().message};
   }
+  /// The value; check is_ok() first. value() is private, so these are the
+  /// only spellings of an access (DESIGN.md §7).
   T* operator->() { return &value(); }
   const T* operator->() const { return &value(); }
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }
 
  private:
+  [[nodiscard]] T& value() {
+    assert(is_ok());
+    return std::get<T>(v_);
+  }
+  [[nodiscard]] const T& value() const {
+    assert(is_ok());
+    return std::get<T>(v_);
+  }
+
   std::variant<T, Error> v_;
 };
 

@@ -108,13 +108,6 @@ class SpscRing {
     return rejected_.load(std::memory_order_relaxed);
   }
 
-  /// Forget both endpoint bindings (teardown/test escape hatch); the next
-  /// try_push / try_pop from any thread re-binds that end.
-  void reset_endpoints() noexcept {
-    producer_.reset();
-    consumer_.reset();
-  }
-
  private:
   std::vector<T> slots_;
   std::size_t mask_ = 1;

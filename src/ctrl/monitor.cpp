@@ -8,7 +8,7 @@ void MonitorIApp::on_agent_connected(const server::AgentInfo& info) {
   db_[info.id];  // create entry
   for (const auto& f : info.functions) {
     bool want = (cfg_.want_mac && f.id == e2sm::mac::Sm::kId) ||
-                (cfg_.want_rlc && f.id == e2sm::rlc::Sm::kId) ||
+                f.id == e2sm::rlc::Sm::kId ||
                 (cfg_.want_pdcp && f.id == e2sm::pdcp::Sm::kId);
     if (want) subscribe_stats(info.id, f.id);
   }

@@ -21,8 +21,8 @@ class MonitorIApp final : public server::IApp {
   struct Config {
     WireFormat sm_format = WireFormat::flat;
     std::uint32_t period_ms = 1;
+    /// RLC stats are always subscribed; MAC and PDCP can be left out.
     bool want_mac = true;
-    bool want_rlc = true;
     bool want_pdcp = true;
     /// true: parse payloads into typed maps (mandatory for ASN.1, which is
     /// unusable unparsed). false: keep the latest raw message per SM — the

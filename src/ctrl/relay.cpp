@@ -108,7 +108,10 @@ class RelayController::MirrorIApp final : public server::IApp {
 RelayController::RelayController(Reactor& reactor, Config cfg)
     : reactor_(reactor), cfg_(cfg) {
   server_ = std::make_unique<server::E2Server>(
-      reactor_, server::E2Server::Config{77, cfg_.e2ap_format, {}});
+      reactor_, server::E2Server::Config{.ric_id = 77,
+                                          .e2ap_format = cfg_.e2ap_format,
+                                          .quarantine_after = 3 * kSecond,
+                                          .expire_after = 10 * kSecond});
   mirror_ = std::make_shared<MirrorIApp>(*this);
   server_->add_iapp(mirror_);
 }

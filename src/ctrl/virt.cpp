@@ -356,7 +356,10 @@ VirtController::VirtController(Reactor& reactor, Config cfg,
                                std::vector<TenantConfig> tenant_cfgs)
     : reactor_(reactor), cfg_(cfg) {
   server_ = std::make_unique<server::E2Server>(
-      reactor_, server::E2Server::Config{88, cfg_.e2ap_format, {}});
+      reactor_, server::E2Server::Config{.ric_id = 88,
+                                          .e2ap_format = cfg_.e2ap_format,
+                                          .quarantine_after = 3 * kSecond,
+                                          .expire_after = 10 * kSecond});
   south_iapp_ = std::make_shared<SouthIApp>(*this);
   server_->add_iapp(south_iapp_);
   std::uint32_t idx = 0;

@@ -34,18 +34,6 @@ class XappHostIApp final : public server::IApp {
   [[nodiscard]] const char* name() const override { return "xapp-host"; }
   void on_agent_disconnected(server::AgentId id) override;
 
-  /// Shard-namespace the ids this host mints (sharded RIC, DESIGN.md §13):
-  /// xApp ids carry the shard index in their top byte and subscription
-  /// tokens in bits 32+, mirroring the server/sharding.hpp global agent-id
-  /// convention, so per-shard hosts aggregate on the home thread without
-  /// collisions. Call once, before registering xApps.
-  void set_shard(std::uint32_t shard) {
-    shard_ = shard;
-    next_xapp_ = (shard << 24) | 1U;
-    next_token_ = (static_cast<std::uint64_t>(shard) << 32) | 1U;
-  }
-  [[nodiscard]] std::uint32_t shard() const noexcept { return shard_; }
-
   // -- xApp management --
   /// Register an xApp; returns its id.
   XappId register_xapp(std::string xapp_name);
@@ -95,7 +83,6 @@ class XappHostIApp final : public server::IApp {
   };
 
   std::map<XappId, std::string> xapps_;
-  std::uint32_t shard_ = 0;
   XappId next_xapp_ = 1;
   std::map<MergeKey, E2Sub> e2_subs_;
   std::map<std::uint64_t, MergeKey> tokens_;

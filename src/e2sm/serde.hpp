@@ -32,11 +32,11 @@
 // operations are no-ops. Only E2AP declarations use ranged(), the one
 // source of encoder errors; e2ap::Codec::encode returns them, while
 // sm_encode asserts there are none. Every decoding vec() rejects a count
-// the payload left cannot hold, and a decoder charges each list's storage
-// (count * sizeof(T)) and each string's bytes to one budget, 16x its input
-// + 3 KiB, before it allocates them (DESIGN.md §6); a list over budget is
-// malformed. Nested decoders (FLAT's RAW lists, PROTO's submessages) draw
-// on their parent's budget.
+// the payload left cannot hold and reserves no more than that payload can
+// back; a decoder charges each list reservation and each string's bytes to
+// one budget, 16x its input + 3 KiB, before it allocates them (DESIGN.md
+// §6), and a decode over budget is malformed. Nested decoders (FLAT's RAW
+// lists, PROTO's submessages) draw on their parent's budget.
 #pragma once
 
 #include <algorithm>
@@ -147,17 +147,29 @@ class Archive {
   void merge(const Status& s) {
     if (ok() && !s.is_ok()) status_ = s;
   }
-  /// The one list guard. `room` is the most elements the payload left can
-  /// hold, given each element's smallest encoding; the list's storage,
-  /// n * `elem_bytes`, is then charged to the budget, so vec() reserves the
-  /// count once.
-  bool check_list(std::uint64_t n, std::uint64_t room,
-                  std::size_t elem_bytes) {
-    if (n > room) {
-      fail(Errc::malformed, "list count exceeds payload");
-      return false;
-    }
-    return charge(n * elem_bytes);
+  /// The one list guard: `room` is the most elements the payload left can
+  /// hold, given each element's smallest encoding.
+  bool check_list(std::uint64_t n, std::uint64_t room) {
+    if (n <= room) return true;
+    fail(Errc::malformed, "list count exceeds payload");
+    return false;
+  }
+  /// Clears `v` and reserves room for the first elements of a checked
+  /// list of `n`: no more than `payload` bytes (the payload left, or
+  /// kReserveFloor when less) can back, so a forged count that fails a few
+  /// elements in costs the payload plus the floor, not the budget.
+  template <typename T>
+  bool reserve_list(std::vector<T>& v, std::uint64_t n, std::size_t payload) {
+    constexpr std::size_t kReserveFloor = 4096;
+    v.clear();
+    return reserve(v, std::min<std::uint64_t>(
+                          n, std::max(payload, kReserveFloor) / sizeof(T)));
+  }
+  /// Called before each element: false once the decode has failed; once
+  /// decoded elements fill the reservation, it grows to the whole count.
+  template <typename T>
+  bool grow_list(std::vector<T>& v, std::uint64_t n) {
+    return ok() && (v.size() < v.capacity() || reserve(v, n));
   }
   /// A decoded string or octet string, charged with what copying it out
   /// allocates: a string past its inline capacity takes exactly size + 1
@@ -188,6 +200,13 @@ class Archive {
     }
     fail(Errc::malformed, kOverBudget);
     return false;
+  }
+  /// Every list reservation is charged to the budget when it is made.
+  template <typename T>
+  bool reserve(std::vector<T>& v, std::uint64_t n) {
+    if (!charge(n * sizeof(T))) return false;
+    v.reserve(static_cast<std::size_t>(n));
+    return true;
   }
 
   Status status_;
@@ -303,11 +322,10 @@ class RawDec : public Archive<RawDec<kCount>> {
   void vec(std::vector<T>& v, F elem = {}) {
     auto n = kCount == ListCount::u32 ? widen(r_.u32()) : r_.uvarint();
     // Every RAW element is at least one byte.
-    if (!accept(n) || !this->check_list(*n, r_.remaining(), sizeof(T)))
+    if (!accept(n) || !this->check_list(*n, r_.remaining()) ||
+        !this->reserve_list(v, *n, r_.remaining()))
       return;
-    v.clear();
-    v.reserve(static_cast<std::size_t>(*n));
-    for (std::uint64_t i = 0; i < *n && ok(); ++i) {
+    for (std::uint64_t i = 0; i < *n && this->grow_list(v, *n); ++i) {
       T e{};
       elem(*this, e);
       v.push_back(std::move(e));
@@ -406,12 +424,10 @@ class PerDec : public Archive<PerDec> {
     auto n = r_.length();
     // Every PER element but a bool is at least one octet's worth of bits.
     constexpr std::size_t kMinBits = std::is_same_v<T, bool> ? 1 : 8;
-    if (!accept(n) ||
-        !check_list(*n, r_.bits_remaining() / kMinBits, sizeof(T)))
+    if (!accept(n) || !check_list(*n, r_.bits_remaining() / kMinBits) ||
+        !reserve_list(v, *n, r_.bits_remaining() / 8))
       return;
-    v.clear();
-    v.reserve(*n);
-    for (std::size_t i = 0; i < *n && ok(); ++i) {
+    for (std::size_t i = 0; i < *n && grow_list(v, *n); ++i) {
       T e{};
       elem(*this, e);
       v.push_back(std::move(e));
@@ -636,12 +652,11 @@ class ProtoDec : public Archive<ProtoDec> {
     BufReader cr(countf->bytes);
     auto n = cr.uvarint();
     // Every element is a field of its own: a tag and a length, two bytes.
-    if (!accept(n) || !check_list(*n, r_.remaining() / 2, sizeof(T)))
+    if (!accept(n) || !check_list(*n, r_.remaining() / 2) ||
+        !reserve_list(v, *n, r_.remaining()))
       return;
     std::uint32_t num = countf->number;
-    v.clear();
-    v.reserve(static_cast<std::size_t>(*n));
-    for (std::uint64_t i = 0; i < *n && ok(); ++i) {
+    for (std::uint64_t i = 0; i < *n && grow_list(v, *n); ++i) {
       auto f = next_field();
       if (!f) return;
       if (f->number != num || f->type != ProtoWireType::len) {

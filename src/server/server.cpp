@@ -12,7 +12,7 @@ E2Server::E2Server(Reactor& reactor, Config cfg)
       codec_(e2ap::codec_for(cfg.e2ap_format)),
       ingest_(overload::PriorityQueue<Buffer>::Config{
           cfg.overload.control_queue, cfg.overload.data_queue,
-          cfg.overload.shed_policy}) {}
+          overload::ShedPolicy::fair_per_agent}) {}
 
 E2Server::~E2Server() {
   *alive_ = false;  // posted drain tasks must not touch a dead server
@@ -152,8 +152,7 @@ void E2Server::on_close(AgentId id) {
   fail_ctrls(id);
 
   auto it = conns_.find(id);
-  const bool retain = cfg_.resilience.reestablish &&
-                      cfg_.resilience.expire_after > 0 &&
+  const bool retain = cfg_.expire_after > 0 &&
                       it != conns_.end() && it->second.established &&
                       db_.agent(id) != nullptr;
   if (retain) {
@@ -173,7 +172,7 @@ void E2Server::on_close(AgentId id) {
       db_.add_agent(info);
     }
     LOG_INFO("server", "agent %u detached, retained for %lld ms", id,
-             static_cast<long long>(cfg_.resilience.expire_after / kMilli));
+             static_cast<long long>(cfg_.expire_after / kMilli));
     // iApps are deliberately not told "disconnected": the agent is
     // momentarily unreachable; reconnection or expiry resolves it.
     ensure_liveness_timer();
@@ -261,25 +260,24 @@ void E2Server::expire_agent(AgentId id) {
 }
 
 void E2Server::liveness_scan() {
-  const auto& rc = cfg_.resilience;
   const Nanos t_now = reactor_.now();
   std::vector<AgentId> to_expire;
   for (auto& [id, c] : conns_) {
     if (c.detached) {
-      if (rc.expire_after > 0 && t_now - c.detached_at >= rc.expire_after)
+      if (cfg_.expire_after > 0 && t_now - c.detached_at >= cfg_.expire_after)
         to_expire.push_back(id);
       continue;
     }
-    if (!c.established || rc.quarantine_after <= 0) continue;
+    if (!c.established || cfg_.quarantine_after <= 0) continue;
     const Nanos idle = t_now - c.last_rx;
-    if (!c.quarantined && idle >= rc.quarantine_after) {
+    if (!c.quarantined && idle >= cfg_.quarantine_after) {
       c.quarantined = true;
       stats_.quarantines++;
       LOG_WARN("server", "agent %u quarantined (idle %lld ms)", id,
                static_cast<long long>(idle / kMilli));
       for (auto& app : iapps_) app->on_agent_quarantined(id);
     }
-    if (c.quarantined && rc.expire_after > 0 && idle >= rc.expire_after)
+    if (c.quarantined && cfg_.expire_after > 0 && idle >= cfg_.expire_after)
       to_expire.push_back(id);
   }
   for (AgentId id : to_expire) expire_agent(id);
@@ -287,9 +285,8 @@ void E2Server::liveness_scan() {
 
 void E2Server::ensure_liveness_timer() {
   if (liveness_timer_ != 0) return;
-  const auto& rc = cfg_.resilience;
-  Nanos period = rc.quarantine_after > 0 ? rc.quarantine_after / 2
-                                         : rc.expire_after / 2;
+  Nanos period = cfg_.quarantine_after > 0 ? cfg_.quarantine_after / 2
+                                           : cfg_.expire_after / 2;
   if (period <= 0) return;
   if (period < kMilli) period = kMilli;
   liveness_timer_ =
@@ -482,8 +479,7 @@ void E2Server::handle(AgentId id, const e2ap::SetupRequest& m) {
   }
 
   bool reconnected = false;
-  if (AgentId old_id = cfg_.resilience.reestablish ? find_detached(m.node) : 0;
-      old_id != 0 && old_id != id) {
+  if (AgentId old_id = find_detached(m.node); old_id != 0 && old_id != id) {
     // The node came back: splice the fresh transport into its old identity
     // so subscriptions, handles and the RanDb entry survive. Rewriting the
     // route cell redirects the (currently executing) transport handlers.

@@ -22,7 +22,6 @@
 #include "common/shard_stats.hpp"
 #include "e2ap/codec.hpp"
 #include "server/ran_db.hpp"
-#include "transport/resilience.hpp"
 #include "transport/transport.hpp"
 
 namespace flexric::server {
@@ -40,7 +39,6 @@ struct OverloadConfig {
   /// Bounded ingest queue, per class. CONTROL drains strictly before DATA.
   std::size_t control_queue = 1024;
   std::size_t data_queue = 4096;
-  overload::ShedPolicy shed_policy = overload::ShedPolicy::fair_per_agent;
   /// Frames decoded+dispatched per reactor turn; the remainder re-posts, so
   /// timers and fresh CONTROL traffic interleave with a deep backlog.
   std::size_t dispatch_batch = 64;
@@ -114,17 +112,18 @@ class E2Server {
   struct Config {
     std::uint32_t ric_id = 21;
     WireFormat e2ap_format = WireFormat::per;
-    /// Server-side knobs only (quarantine_after, expire_after, reestablish);
-    /// the agent-side fields are ignored here. Defaults to retention and
-    /// liveness OFF — a closed connection tears down immediately, exactly
-    /// the pre-resilience behavior. Opt in by setting quarantine_after /
-    /// expire_after (see ResilienceConfig).
-    ResilienceConfig resilience = [] {
-      ResilienceConfig rc;
-      rc.quarantine_after = 0;
-      rc.expire_after = 0;
-      return rc;
-    }();
+    /// Per-agent liveness (DESIGN.md §9). No bytes from an agent for
+    /// `quarantine_after` => quarantined (iApps are told, state is kept);
+    /// 0 disables the liveness scan.
+    Nanos quarantine_after = 0;
+    /// Quarantined or detached for `expire_after` => expired through the
+    /// normal disconnect path (RanDb entry, subscriptions and iApp state
+    /// freed). 0 disables retention: a closed connection tears down at
+    /// once, exactly the pre-resilience behavior. With retention on, an
+    /// agent returning with the same GlobalNodeId is rebound to its
+    /// previous AgentId and its subscriptions are replayed (iApps see one
+    /// `Reconnected` event instead of teardown/re-setup).
+    Nanos expire_after = 0;
     /// Overload protection; OFF by default (see OverloadConfig).
     OverloadConfig overload{};
     /// Sharded deployments (DESIGN.md §13): this server instance is shard

@@ -15,13 +15,11 @@ namespace flexric::server {
 // @affine(shard)
 class ShardedE2Server::Relay final : public IApp {
  public:
-  Relay(std::uint32_t shard, Cell& cell, ShardCounterBoard& board,
-        Nanos publish_period)
+  Relay(std::uint32_t shard, Cell& cell, ShardCounterBoard& board)
       : shard_(shard),
         cell_(cell),
         board_(board),
-        epoch_(board.epoch_of(shard)),
-        publish_period_(publish_period) {}
+        epoch_(board.epoch_of(shard)) {}
 
   ~Relay() override { *alive_ = false; }
 
@@ -30,7 +28,7 @@ class ShardedE2Server::Relay final : public IApp {
   void on_start(E2Server& server) override {
     IApp::on_start(server);
     server.reactor().add_timer(
-        publish_period_,
+        kPublishPeriod,
         [this, alive = std::weak_ptr<bool>(alive_)] {
           auto a = alive.lock();
           if (!a || !*a) return;
@@ -149,7 +147,6 @@ class ShardedE2Server::Relay final : public IApp {
   Cell& cell_;
   ShardCounterBoard& board_;
   std::uint64_t epoch_;
-  Nanos publish_period_;
   bool fanout_armed_ = false;
   std::uint16_t fanout_fn_ = 0;
   Buffer fanout_trigger_;
@@ -175,12 +172,10 @@ ShardedE2Server::ShardedE2Server(ShardPool& pool, ShardedConfig cfg)
       board_(pool.size()),
       accepting_(pool.size(), 1),
       retired_ledgers_(pool.size()) {
-  for (std::uint32_t i = 0; i < pool_.size(); ++i)
-    build_cell(i, /*fresh_rings=*/true);
-  if (cfg_.supervise.enabled && cfg_.supervise.heartbeat_period > 0)
-    pool_.enable_heartbeat(cfg_.supervise.heartbeat_period);
+  for (std::uint32_t i = 0; i < pool_.size(); ++i) build_cell(i);
+  pool_.enable_heartbeat(ShardSupervisor::kHeartbeatPeriod);
   supervisor_ =
-      std::make_unique<ShardSupervisor>(pool_, *this, cfg_.supervise);
+      std::make_unique<ShardSupervisor>(pool_, *this, cfg_.auto_restart);
 }
 
 ShardedE2Server::~ShardedE2Server() {
@@ -190,21 +185,17 @@ ShardedE2Server::~ShardedE2Server() {
   for (auto& c : retired_cells_) (void)c.release();
 }
 
-void ShardedE2Server::build_cell(std::uint32_t i, bool fresh_rings) {
-  if (fresh_rings || !cells_[i]) {
-    auto cell = std::make_unique<Cell>();
-    cell->events = std::make_unique<SpscRing<DirEvent>>(cfg_.event_ring);
-    cell->fanout =
-        std::make_unique<SpscRing<FanoutIndication>>(cfg_.fanout_ring);
-    cell->replies = std::make_unique<SpscRing<QueryReply>>(cfg_.reply_ring);
-    cells_[i] = std::move(cell);
-  }
+void ShardedE2Server::build_cell(std::uint32_t i) {
+  cells_[i] = std::make_unique<Cell>();
   Cell& cell = *cells_[i];
+  cell.events = std::make_unique<SpscRing<DirEvent>>(cfg_.event_ring);
+  cell.fanout = std::make_unique<SpscRing<FanoutIndication>>(kFanoutRing);
+  cell.replies = std::make_unique<SpscRing<QueryReply>>(kReplyRing);
   E2Server::Config scfg = cfg_.server;
   scfg.shard = i;
   scfg.num_shards = pool_.size();
   cell.server = std::make_unique<E2Server>(pool_.reactor(i), scfg);
-  cell.relay = std::make_shared<Relay>(i, cell, board_, cfg_.publish_period);
+  cell.relay = std::make_shared<Relay>(i, cell, board_);
   if (fanout_armed_)
     cell.relay->set_fanout(fanout_fn_, fanout_trigger_, fanout_actions_);
   cell.server->add_iapp(cell.relay);
@@ -441,25 +432,19 @@ void ShardedE2Server::rebuild_shard(std::uint32_t shard) {
   // corpse loop that un-wedges later publishes into the void.
   board_.bump_epoch(shard);
   if (manual) {
-    // Destroy the dead cell in place; the rings survive and are reseeded.
+    // Destroy the dead cell while its reactor still lives (the server
+    // unregisters from it); its drained rings go with it.
     cells_[shard]->server.reset();
-    cells_[shard]->relay.reset();
+    cells_[shard].reset();
     board_.publish(shard, ShardLedger{});
   } else {
     // A wedged loop thread may still be inside the cell: retire it whole
-    // (leaked at destruction) and give the replacement fresh rings.
+    // (leaked at destruction).
     retired_cells_.push_back(std::move(cells_[shard]));
   }
   pool_.restart_shard(shard);
-  if (manual) {
-    // Reseed the shard->home conduits for the replacement loop. This is
-    // the one sanctioned reset_endpoints path — the analyzer's
-    // atomics-order pass flags any caller without a @recovery annotation.
-    cells_[shard]->events->reset_endpoints();   // @recovery
-    cells_[shard]->fanout->reset_endpoints();   // @recovery
-    cells_[shard]->replies->reset_endpoints();  // @recovery
-  }
-  build_cell(shard, /*fresh_rings=*/!manual);
+  // Either way the replacement gets a fresh cell and fresh rings.
+  build_cell(shard);
   if (ports_[shard] != 0) {
     // Re-listen on the same shard port so re-homing agents dial the same
     // address. If the OS still holds it, fall back to an ephemeral port

@@ -34,7 +34,6 @@
 #include "common/spsc_ring.hpp"
 #include "server/server.hpp"
 #include "server/sharding.hpp"
-#include "transport/resilience.hpp"
 #include "transport/shard_pool.hpp"
 
 namespace flexric::server {
@@ -45,14 +44,11 @@ struct ShardedConfig {
   /// Per-shard E2Server template; `shard`/`num_shards` are filled in per
   /// instance (enabling the misroute gate at every shard's door).
   E2Server::Config server;
-  std::size_t event_ring = 1024;   ///< directory events, per shard
-  std::size_t fanout_ring = 4096;  ///< fan-out indications, per shard
-  std::size_t reply_ring = 1024;   ///< query replies, per shard
-  /// Cadence of each shard's ledger publish into the counter board.
-  Nanos publish_period = 10 * kMilli;
-  /// Watchdog + quarantine + stateful-restart knobs (DESIGN.md §15). The
-  /// shard heartbeat is armed on the pool at construction when enabled.
-  SupervisionConfig supervise;
+  std::size_t event_ring = 1024;  ///< directory events, per shard
+  /// Rebuild a quarantined shard inside the watchdog poll that quarantines
+  /// it (DESIGN.md §15). false = contain only; the operator (or a test)
+  /// calls ShardSupervisor::restart itself.
+  bool auto_restart = true;
 };
 
 class ShardedE2Server {
@@ -206,9 +202,9 @@ class ShardedE2Server {
   /// indications with exact accounting (supervisor_shed), harvest its
   /// ledger into the retired total, tear the server + reactor down, spin a
   /// replacement under the same domain name (re-listening on the same
-  /// port), reseed the ring endpoints via the sanctioned @recovery path,
-  /// re-instantiate the iApp factories and fan-out subscription, and wipe +
-  /// resync this shard's slice of the merged directory. Agents re-home
+  /// port) with fresh shard->home rings, re-instantiate the iApp factories
+  /// and fan-out subscription, and wipe + resync this shard's slice of the
+  /// merged directory. Agents re-home
   /// through their own PR-3 reconnect machinery once accepting() is true
   /// again.
   void rebuild_shard(std::uint32_t shard);
@@ -260,7 +256,13 @@ class ShardedE2Server {
     QueryDone done;
   };
 
-  void build_cell(std::uint32_t shard, bool fresh_rings);
+  /// Per-shard ring capacities: fan-out indications and query replies.
+  static constexpr std::size_t kFanoutRing = 4096;
+  static constexpr std::size_t kReplyRing = 1024;
+  /// Cadence of each shard's ledger publish into the counter board.
+  static constexpr Nanos kPublishPeriod = 10 * kMilli;
+
+  void build_cell(std::uint32_t shard);
   void apply_dir_event(std::uint32_t shard, DirEvent& ev);
   void request_resyncs();
   void fail_pending_queries(std::uint32_t shard);
@@ -274,7 +276,7 @@ class ShardedE2Server {
   /// Cells of force-restarted shards in threaded mode: their loop thread
   /// may still be wedged inside them, so they are parked here and leaked
   /// at destruction (mirror of ShardPool's retired universes). Manual-mode
-  /// rebuilds reuse the cell and its rings via reset_endpoints instead.
+  /// rebuilds destroy the dead cell instead.
   std::vector<std::unique_ptr<Cell>> retired_cells_;
   std::vector<std::uint16_t> ports_;
   ShardCounterBoard board_;

@@ -16,8 +16,11 @@ const char* shard_health_name(ShardHealth h) noexcept {
 }
 
 ShardSupervisor::ShardSupervisor(ShardPool& pool, ShardedE2Server& server,
-                                 SupervisionConfig cfg)
-    : pool_(pool), server_(server), cfg_(cfg), states_(pool.size()) {}
+                                 bool auto_restart)
+    : pool_(pool),
+      server_(server),
+      auto_restart_(auto_restart),
+      states_(pool.size()) {}
 
 void ShardSupervisor::transition(std::uint32_t shard, ShardHealth to) {
   ShardState& st = states_[shard];
@@ -36,9 +39,7 @@ void ShardSupervisor::quarantine(std::uint32_t shard, Nanos now) {
   // every in-flight cross-shard query fails fast with a transport cause.
   server_.contain_shard(shard);
   transition(shard, ShardHealth::quarantined);
-  const bool budget_left =
-      cfg_.max_restarts == 0 || st.restarts < cfg_.max_restarts;
-  if (cfg_.auto_restart && budget_left) restart(shard);
+  if (auto_restart_) restart(shard);
 }
 
 void ShardSupervisor::restart(std::uint32_t shard) {
@@ -48,7 +49,7 @@ void ShardSupervisor::restart(std::uint32_t shard) {
   st.restarts++;
   stats_.restarts++;
   // The replacement starts a fresh heartbeat history: baseline its age at
-  // the rebuild instant so it gets a full quarantine_after of grace.
+  // the rebuild instant so it gets a full kQuarantineAfter of grace.
   st.last_turns = 0;
   st.last_beat = last_now_;
   st.fresh_polls = 0;
@@ -56,7 +57,6 @@ void ShardSupervisor::restart(std::uint32_t shard) {
 }
 
 void ShardSupervisor::poll(Nanos now) {
-  if (!cfg_.enabled) return;
   last_now_ = now;
   stats_.polls++;
   for (std::uint32_t i = 0; i < states_.size(); ++i) {
@@ -72,38 +72,39 @@ void ShardSupervisor::poll(Nanos now) {
     }
     const Nanos age = now - st.last_beat;
     st.last_age = age;
-    const bool fresh = age <= cfg_.degraded_after;
+    // A rebuilt shard's grace baseline is not a beat: until the
+    // replacement beats once, no poll of it counts as fresh.
+    const bool fresh = age <= kDegradedAfter && st.last_turns != 0;
     switch (st.health) {
       case ShardHealth::healthy:
-        if (age > cfg_.quarantine_after) {
+        if (age > kQuarantineAfter) {
           quarantine(i, now);
-        } else if (age > cfg_.degraded_after) {
+        } else if (age > kDegradedAfter) {
           st.fresh_polls = 0;
           stats_.degradations++;
           transition(i, ShardHealth::degraded);
         }
         break;
       case ShardHealth::degraded:
-        if (age > cfg_.quarantine_after) {
+        if (age > kQuarantineAfter) {
           quarantine(i, now);
         } else if (fresh) {
-          if (++st.fresh_polls >= cfg_.recover_hysteresis)
+          if (++st.fresh_polls >= kRecoverHysteresis)
             transition(i, ShardHealth::healthy);
         } else {
           st.fresh_polls = 0;
         }
         break;
       case ShardHealth::quarantined:
-        // Contained and out of restart budget (or auto_restart off):
-        // nothing to watch until restart() is called.
+        // Contained with auto_restart off: nothing to watch until
+        // restart() is called.
         break;
       case ShardHealth::recovering:
-        if (age > cfg_.quarantine_after) {
-          // The replacement wedged too — quarantine again; the restart
-          // budget decides whether another rebuild is attempted.
+        if (age > kQuarantineAfter) {
+          // The replacement wedged too — quarantine (and rebuild) again.
           quarantine(i, now);
         } else if (fresh) {
-          if (++st.fresh_polls >= cfg_.recover_hysteresis) {
+          if (++st.fresh_polls >= kRecoverHysteresis) {
             stats_.recoveries++;
             stats_.mttr_last = now - st.quarantined_at;
             transition(i, ShardHealth::healthy);

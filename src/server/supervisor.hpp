@@ -9,7 +9,7 @@
 //   healthy ──stale──> degraded ──staler──> quarantined ──rebuild──>
 //   recovering ──N fresh polls──> healthy
 //
-// with hysteresis on every edge back toward healthy (recover_hysteresis
+// with hysteresis on every edge back toward healthy (kRecoverHysteresis
 // consecutive fresh polls), so one slow handler degrades a shard without
 // flapping it and a limping replacement is not trusted early.
 //
@@ -35,7 +35,6 @@
 
 #include "common/clock.hpp"
 #include "common/shard_stats.hpp"
-#include "transport/resilience.hpp"
 
 namespace flexric {
 class ShardPool;
@@ -78,27 +77,40 @@ class ShardSupervisor {
     }
   };
 
-  ShardSupervisor(ShardPool& pool, ShardedE2Server& server,
-                  SupervisionConfig cfg);
+  /// Cadence of each shard loop's heartbeat into the health board,
+  /// comfortably below kDegradedAfter so a healthy shard does not flap.
+  static constexpr Nanos kHeartbeatPeriod = 10 * kMilli;
+  /// Beat older than this => degraded (watch, don't act yet — hysteresis
+  /// against one slow handler or a scheduler hiccup).
+  static constexpr Nanos kDegradedAfter = 50 * kMilli;
+  /// Beat older than this => quarantined: contain + (auto_restart) rebuild.
+  static constexpr Nanos kQuarantineAfter = 200 * kMilli;
+  /// Consecutive fresh polls a recovering (or degraded) shard must deliver
+  /// before it is trusted healthy again.
+  static constexpr std::uint32_t kRecoverHysteresis = 3;
+
+  /// `auto_restart` rebuilds a quarantined shard inside the poll that
+  /// quarantines it; without it the shard stays contained until restart().
+  ShardSupervisor(ShardPool& pool, ShardedE2Server& server, bool auto_restart);
 
   /// One watchdog tick (home thread). `now` is home-reactor time — the
   /// same axis the shard heartbeats stamp, since every loop shares the
   /// clock. Classifies every shard, and on a quarantine edge contains the
-  /// shard and (auto_restart) rebuilds it inside this call.
+  /// shard and (auto_restart) rebuilds it inside this call. Nothing polls
+  /// by itself: the home loop's owner calls this (the deterministic world
+  /// does every 1 ms quantum), so detection latency is kQuarantineAfter
+  /// plus the owner's poll interval.
   void poll(Nanos now);
 
   [[nodiscard]] ShardHealth health(std::uint32_t shard) const noexcept {
     return states_[shard].health;
   }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const SupervisionConfig& config() const noexcept {
-    return cfg_;
-  }
   /// Beat age observed at the last poll (diagnostics / metrics).
   [[nodiscard]] Nanos last_age(std::uint32_t shard) const noexcept {
     return states_[shard].last_age;
   }
-  /// Rebuilds performed on one shard (max_restarts budget accounting).
+  /// Rebuilds performed on one shard.
   [[nodiscard]] std::uint32_t restarts_of(std::uint32_t shard) const noexcept {
     return states_[shard].restarts;
   }
@@ -110,9 +122,9 @@ class ShardSupervisor {
       std::function<void(std::uint32_t, ShardHealth, ShardHealth)>;
   void set_on_transition(TransitionHook hook) { on_transition_ = std::move(hook); }
 
-  /// Manual recovery for a quarantined shard when auto_restart is off (or
-  /// the restart budget was spent): contain already happened; this rebuilds
-  /// and moves the shard to recovering.
+  /// Manual recovery for a quarantined shard when auto_restart is off:
+  /// contain already happened; this rebuilds and moves the shard to
+  /// recovering.
   void restart(std::uint32_t shard);
 
  private:
@@ -131,7 +143,7 @@ class ShardSupervisor {
 
   ShardPool& pool_;
   ShardedE2Server& server_;
-  SupervisionConfig cfg_;
+  bool auto_restart_;
   std::vector<ShardState> states_;
   Stats stats_;
   TransitionHook on_transition_;

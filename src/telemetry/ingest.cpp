@@ -6,10 +6,9 @@ namespace flexric::telemetry {
 
 void Ingest::write(AgentId agent, std::uint32_t entity, Nanos t,
                    std::span<const MetricSample> samples) {
-  const AgentId gid = (cfg_.agent_namespace << 24) | (agent & 0xFFFFFF);
   // Budget rejections are counted by the store (dropped_samples); ingestion
   // keeps going so one saturated series cannot stall the rest of the report.
-  static_cast<void>(store_.record_entity(gid, entity, t, samples));
+  static_cast<void>(store_.record_entity(agent, entity, t, samples));
   samples_in_ += samples.size();
 }
 

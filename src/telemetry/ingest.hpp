@@ -35,12 +35,6 @@ struct IngestConfig {
   /// entity). true: record every mapped metric (10 + 8 + 5) — more series,
   /// same per-series cost.
   bool extended_metrics = false;
-  /// Shard index of the server feeding this ingest (sharded RIC, DESIGN.md
-  /// §13). Samples record under the *global* agent id — namespace in the
-  /// top byte, shard-local id below — matching the server/sharding.hpp
-  /// convention, so per-shard stores merge on the northbound query path
-  /// without id collisions. 0 (shard 0 / unsharded) leaves ids unchanged.
-  std::uint32_t agent_namespace = 0;
 };
 
 // @hotpath

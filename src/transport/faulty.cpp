@@ -14,7 +14,7 @@ FaultyTransport::FaultyTransport(Reactor& reactor,
   FLEXRIC_ASSERT(inner_ != nullptr, "FaultyTransport: null inner transport");
   inner_->set_on_message([this](StreamId stream, BytesView msg) {
     if (partitioned_) return;
-    perturb(spec(/*tx=*/false, stream), stream, msg, /*tx_side=*/false);
+    perturb(profile_.rx, stream, msg, /*tx_side=*/false);
   });
   inner_->set_on_close([this] {
     held_tx_.active = false;
@@ -42,13 +42,6 @@ std::string FaultyTransport::peer_name() const {
   return "faulty(" + (inner_ ? inner_->peer_name() : std::string("-")) + ")";
 }
 
-const FaultSpec& FaultyTransport::spec(bool tx, StreamId stream) const {
-  const auto& per_stream = tx ? profile_.tx_stream : profile_.rx_stream;
-  auto it = per_stream.find(stream);
-  if (it != per_stream.end()) return it->second;
-  return tx ? profile_.tx : profile_.rx;
-}
-
 Status FaultyTransport::send(BytesView msg, StreamId stream) {
   if (!is_open()) return {Errc::io, "transport closed"};
   if (tx_credit_ == 0) {
@@ -60,7 +53,7 @@ Status FaultyTransport::send(BytesView msg, StreamId stream) {
   // A partitioned link eats the message; the sender cannot tell (that is
   // the point).
   if (partitioned_) return Status::ok();
-  perturb(spec(/*tx=*/true, stream), stream, msg, /*tx_side=*/true);
+  perturb(profile_.tx, stream, msg, /*tx_side=*/true);
   return Status::ok();
 }
 
@@ -92,7 +85,7 @@ void FaultyTransport::perturb(const FaultSpec& s, StreamId stream,
       held.msg = std::move(copy);
       // Force-release if nothing comes along to overtake it.
       held.flush_timer = reactor_.add_timer(
-          profile_.reorder_flush,
+          kReorderFlush,
           [this, tx_side, alive = std::weak_ptr<bool>(alive_)] {
             auto a = alive.lock();
             if (a && *a) flush_held(tx_side);
@@ -105,13 +98,9 @@ void FaultyTransport::perturb(const FaultSpec& s, StreamId stream,
   }
   for (int i = 0; i < copies; ++i) {
     Nanos delay = 0;
-    if (s.delay_max > s.delay_min && s.delay_min >= 0) {
-      delay = s.delay_min +
-              static_cast<Nanos>(rng_.bounded(
-                  static_cast<std::uint64_t>(s.delay_max - s.delay_min) + 1));
-    } else if (s.delay_max > 0) {
-      delay = s.delay_max;
-    }
+    if (s.delay_max > 0)
+      delay = static_cast<Nanos>(
+          rng_.bounded(static_cast<std::uint64_t>(s.delay_max) + 1));
     if (delay > 0)
       emit_later(tx_side, stream, Buffer(copy), delay);
     else

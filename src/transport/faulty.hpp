@@ -2,7 +2,7 @@
 //
 // Wraps any transport (Local or TCP) and perturbs the message flow with a
 // seeded RNG: drop, delay, reorder, duplicate, corrupt-frame, timed
-// partitions and abrupt close — configurable per direction and per stream.
+// partitions and abrupt close — configurable per direction.
 // All perturbations are scheduled on the owning Reactor (timers + posted
 // tasks), so with a VirtualClock installed the exact same seed yields the
 // exact same interleaving, byte for byte. This is the engine under
@@ -13,7 +13,6 @@
 // how the harness flaps links without touching agent or server code.
 #pragma once
 
-#include <map>
 #include <memory>
 
 #include "common/rng.hpp"
@@ -29,8 +28,7 @@ struct FaultSpec {
   double duplicate = 0.0;  ///< message delivered twice
   double corrupt = 0.0;    ///< one payload byte flipped
   double reorder = 0.0;    ///< held back and released after the next message
-  Nanos delay_min = 0;     ///< uniform extra latency in [delay_min, delay_max]
-  Nanos delay_max = 0;
+  Nanos delay_max = 0;     ///< uniform extra latency in [0, delay_max]
 
   [[nodiscard]] bool trivial() const noexcept {
     return drop == 0 && duplicate == 0 && corrupt == 0 && reorder == 0 &&
@@ -38,16 +36,10 @@ struct FaultSpec {
   }
 };
 
-/// Full fault profile: defaults per direction plus per-stream overrides
-/// (E2AP management rides stream 0; SM traffic may use others).
+/// Full fault profile: one spec per direction, whatever the stream.
 struct FaultProfile {
   FaultSpec tx;  ///< faults applied to send()
   FaultSpec rx;  ///< faults applied to inbound messages
-  std::map<StreamId, FaultSpec> tx_stream;
-  std::map<StreamId, FaultSpec> rx_stream;
-  /// A message held for reordering is force-released after this long if no
-  /// follow-up message arrives to overtake it.
-  Nanos reorder_flush = 5 * kMilli;
   std::uint64_t seed = 1;
 };
 
@@ -94,7 +86,10 @@ class FaultyTransport final : public MsgTransport {
  private:
   using Deliver = std::function<void(StreamId, BytesView)>;
 
-  [[nodiscard]] const FaultSpec& spec(bool tx, StreamId stream) const;
+  /// A message held for reordering is force-released after this long if no
+  /// follow-up message arrives to overtake it.
+  static constexpr Nanos kReorderFlush = 5 * kMilli;
+
   /// Apply `s` to one message and forward the survivors through `out`.
   void perturb(const FaultSpec& s, StreamId stream, BytesView msg,
                bool tx_side);

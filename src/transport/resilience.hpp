@@ -1,19 +1,12 @@
-// Resilience knobs for the E2 connection layer.
+// Resilience knobs for the agent side of the E2 connection layer.
 //
 // The paper runs E2 over SCTP precisely because RAN<->RIC links fail in
-// practice (node restarts, transient partitions). One config struct carries
-// every knob of the recovery machinery so agent, server and tests share a
-// single vocabulary:
-//
-//   * agent side  — reconnect backoff (exponential with decorrelated
-//     jitter), E2 Setup replay, heartbeat (empty RICserviceUpdate on
-//     stream 0) with a miss threshold that forces reconnection, and a
-//     setup-response timeout for half-open links.
-//   * server side — per-agent liveness (quarantine, then expiry through the
-//     normal disconnect path) and transparent re-establishment: an agent
-//     returning with the same global node id keeps its AgentId, its RanDb
-//     entry and its subscriptions (the server replays them), and iApps see
-//     one `Reconnected` event instead of teardown/re-setup churn.
+// practice (node restarts, transient partitions). The agent recovers with
+// reconnect backoff (exponential with decorrelated jitter), E2 Setup
+// replay, a heartbeat (empty RICserviceUpdate on stream 0) with a miss
+// threshold that forces reconnection, and a setup-response timeout for
+// half-open links. The server side — per-agent liveness and transparent
+// re-establishment — is configured on E2Server::Config.
 //
 // Everything runs on the owning Reactor thread; with a VirtualClock
 // installed on the reactor the whole recovery state machine is
@@ -35,10 +28,8 @@ struct ResilienceConfig {
   bool reconnect = true;
   /// First retry delay; also the lower bound of every jittered delay.
   Nanos backoff_base = 100 * kMilli;
-  /// Upper bound on any retry delay.
+  /// Upper bound on any retry delay. Retries never give up.
   Nanos backoff_cap = 10 * kSecond;
-  /// Give up after this many consecutive failed attempts (0 = retry forever).
-  std::uint32_t max_attempts = 0;
   /// Seed for the jitter RNG — fixed seed => bit-identical retry schedule.
   std::uint64_t seed = 0x5EED;
 
@@ -52,55 +43,6 @@ struct ResilienceConfig {
   /// E2 Setup sent but no response within this window => reconnect (guards
   /// against a link that dies exactly during the handshake). 0 disables.
   Nanos setup_timeout = 3 * kSecond;
-
-  // -- server: liveness & re-establishment ----------------------------------
-  /// No bytes from an agent for this long => quarantined (iApps are told,
-  /// state is kept). 0 disables the liveness scan.
-  Nanos quarantine_after = 3 * kSecond;
-  /// Quarantined or detached for this long => expired through the normal
-  /// disconnect path (RanDb entry, subscriptions and iApp state freed).
-  /// 0 disables retention: a closed connection tears down immediately.
-  Nanos expire_after = 10 * kSecond;
-  /// Rebind an agent returning with the same GlobalNodeId to its previous
-  /// AgentId and replay its subscriptions.
-  bool reestablish = true;
-};
-
-/// Knobs of the shard supervision layer (DESIGN.md §15): shard loops beat
-/// into a ShardHealthBoard, a home-side watchdog classifies each shard
-/// through healthy -> degraded -> quarantined -> recovering from the age of
-/// its newest beat, and a quarantined shard is contained and restarted in
-/// place. Like ResilienceConfig above, every duration is a reactor-clock
-/// duration, so with a VirtualClock the whole state machine is
-/// bit-deterministic in the manual harness.
-struct SupervisionConfig {
-  /// Cadence of each shard loop's heartbeat into the health board. Must be
-  /// comfortably below degraded_after or a healthy shard flaps.
-  Nanos heartbeat_period = 10 * kMilli;
-  /// Beat older than this => degraded (watch, don't act yet — hysteresis
-  /// against one slow handler or a scheduler hiccup).
-  Nanos degraded_after = 50 * kMilli;
-  /// Beat older than this => quarantined: contain + (auto_restart) rebuild.
-  Nanos quarantine_after = 200 * kMilli;
-  /// Cadence of the home-side watchdog poll (a reactor timer in threaded
-  /// mode; the manual harness polls explicitly each quantum). Detection
-  /// latency is bounded by quarantine_after + watchdog_period.
-  Nanos watchdog_period = 20 * kMilli;
-  /// A recovering shard must deliver this many consecutive fresh polls
-  /// before it is trusted healthy again (and a degraded shard must do the
-  /// same to clear) — the hysteresis that stops a limping shard from
-  /// flapping healthy/degraded every poll.
-  std::uint32_t recover_hysteresis = 3;
-  /// Rebuild a quarantined shard immediately (the supervised default).
-  /// false = contain only; the operator (or a test) calls restart itself.
-  bool auto_restart = true;
-  /// Give up restarting a shard after this many rebuilds (0 = never give
-  /// up). A shard past its budget stays quarantined — contained, visible
-  /// in the health metrics, but no longer thrashing.
-  std::uint32_t max_restarts = 0;
-  /// Master switch: false leaves the watchdog dormant (classification
-  /// stays healthy, nothing is ever contained or restarted).
-  bool enabled = true;
 };
 
 /// Decorrelated-jitter backoff: first delay is `base`, then

@@ -121,11 +121,6 @@ class TcpTransport final : public MsgTransport {
   /// True while EPOLLOUT is armed: a backlog is waiting for the socket.
   [[nodiscard]] bool write_armed() const noexcept { return write_armed_; }
 
-  /// Cap on the frame length a peer may claim (see
-  /// FrameAssembler::set_max_frame): adversarial multi-GB length fields are
-  /// rejected at the header, before any payload buffering.
-  void set_max_rx_frame(std::size_t bytes) noexcept { rx_.set_max_frame(bytes); }
-
   static constexpr std::size_t kDefaultMaxTxBuffer = 32 * 1024 * 1024;
 
  private:

@@ -16,7 +16,6 @@ class SpscRing {
     slot_ = v;
     return true;
   }
-  void reset_endpoints() {}
 
  private:
   T slot_{};
@@ -52,20 +51,6 @@ inline void reset(ShardCell* c) {
 // @cross_domain
 inline void reconcile(ShardCell& c) {
   c.shed = 0;
-}
-
-// Ring re-arm from the supervised rebuild: both ends are quiescent by
-// construction there, and the annotation marks the site as sanctioned.
-// @cross_domain
-inline void rebuild_rearm(ShardCell& c) {
-  c.events.reset_endpoints();  // @recovery
-}
-
-// The golden finding: a destructive re-arm outside the recovery path —
-// whatever the producer had in flight silently vanishes.
-// @cross_domain
-inline void sneaky_rearm(ShardCell& c) {
-  c.events.reset_endpoints();
 }
 
 }  // namespace flexric

@@ -11,15 +11,6 @@ void legacy_poll() {
   ::usleep(100);
 }
 
-struct Res {
-  bool is_ok() const { return true; }
-  int value() const { return 1; }
-};
-
-int checked_elsewhere(const Res& r) {
-  return r.value();  // lint: allow(unchecked-result) fixture: same-line form
-}
-
 // lint: allow(thread-primitives) fixture: single word, no ordering needs
 std::atomic<int> g_level{0};
 

@@ -296,7 +296,10 @@ struct MonitorWorld {
   ran::BaseStation bs{nr_cell()};
   agent::E2Agent agent{reactor, {{1, 10, e2ap::NodeType::gnb}, kFmt, {}}};
   ran::BsFunctionBundle bundle{bs, agent, kFmt};
-  server::E2Server server{reactor, {21, kFmt, {}, {}}};
+  server::E2Server server{reactor, {.ric_id = 21,
+                                    .e2ap_format = kFmt,
+                                    .quarantine_after = 3 * kSecond,
+                                    .expire_after = 10 * kSecond}};
   Nanos now = 0;
 
   void connect() {

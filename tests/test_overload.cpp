@@ -78,20 +78,6 @@ TEST(RateLimiter, SameScheduleIsBitDeterministic) {
 // BoundedQueue shed policies + exact accounting
 // ---------------------------------------------------------------------------
 
-TEST(BoundedQueueTest, DropNewestRejectsTheArrival) {
-  BoundedQueue<int> q(2, ShedPolicy::drop_newest);
-  EXPECT_TRUE(q.push(1, 10));
-  EXPECT_TRUE(q.push(1, 11));
-  EXPECT_FALSE(q.push(1, 12));  // full: newcomer is shed
-  EXPECT_EQ(q.stats().offered.value, 3u);
-  EXPECT_EQ(q.stats().admitted.value, 2u);
-  EXPECT_EQ(q.stats().shed_newest.value, 1u);
-  EXPECT_TRUE(q.reconciles());
-  EXPECT_EQ(q.pop()->value, 10);  // FIFO preserved
-  EXPECT_EQ(q.pop()->value, 11);
-  EXPECT_TRUE(q.reconciles());
-}
-
 TEST(BoundedQueueTest, DropOldestEvictsTheHead) {
   BoundedQueue<int> q(2, ShedPolicy::drop_oldest);
   EXPECT_TRUE(q.push(1, 10));
@@ -149,13 +135,12 @@ TEST(BoundedQueueTest, DefaultCapacityZeroShedsEverything) {
   EXPECT_FALSE(q.push(1, 42));
   EXPECT_EQ(q.stats().shed_newest.value, 1u);
   EXPECT_TRUE(q.reconciles());
-  q.configure(1, ShedPolicy::drop_newest);
+  q.configure(1, ShedPolicy::drop_oldest);
   EXPECT_TRUE(q.push(1, 43));
 }
 
 TEST(PriorityQueueTest, ControlDrainsStrictlyBeforeData) {
-  PriorityQueue<int> q(PriorityQueue<int>::Config{2, 2,
-                                                  ShedPolicy::drop_newest});
+  PriorityQueue<int> q(PriorityQueue<int>::Config{2, 2});
   EXPECT_TRUE(q.push(MsgClass::data, 1, 100));
   EXPECT_TRUE(q.push(MsgClass::control, 1, 200));
   EXPECT_TRUE(q.push(MsgClass::data, 1, 101));
@@ -168,13 +153,13 @@ TEST(PriorityQueueTest, ControlDrainsStrictlyBeforeData) {
 }
 
 TEST(PriorityQueueTest, ClassCapacitiesAreIndependent) {
-  PriorityQueue<int> q(PriorityQueue<int>::Config{1, 2,
-                                                  ShedPolicy::drop_newest});
+  PriorityQueue<int> q(PriorityQueue<int>::Config{1, 2});
   EXPECT_TRUE(q.push(MsgClass::control, 1, 1));
-  EXPECT_FALSE(q.push(MsgClass::control, 1, 2));  // control lane full
-  EXPECT_TRUE(q.push(MsgClass::data, 1, 3));      // data lane unaffected
+  EXPECT_TRUE(q.push(MsgClass::control, 1, 2));  // control lane full: sheds 1
+  EXPECT_TRUE(q.push(MsgClass::data, 1, 3));     // data lane unaffected
   EXPECT_TRUE(q.push(MsgClass::data, 1, 4));
   EXPECT_EQ(q.shed(), 1u);
+  EXPECT_EQ(q.queue(MsgClass::data).stats().shed(), 0u);
   EXPECT_TRUE(q.reconciles());
 }
 
@@ -220,7 +205,6 @@ server::OverloadConfig storm_defaults() {
   ov.enabled = true;
   ov.control_queue = 256;
   ov.data_queue = 1024;
-  ov.shed_policy = ShedPolicy::fair_per_agent;
   ov.dispatch_batch = 64;
   ov.data_rate = 2000.0;  // per agent: 2 indications per virtual ms
   ov.data_burst = 100.0;
@@ -415,8 +399,6 @@ TEST(Storm, ControlDeadlineFailsFastThroughPartition) {
 TEST(Storm, AgentBuffersUnderBackpressureThenFlushesInOrder) {
   agent::OverloadConfig aov;
   aov.indication_queue = 8;
-  aov.shed_policy = ShedPolicy::drop_oldest;
-  aov.flush_period = 10 * kMilli;
   World w(kPlain, storm_cfg());
   auto& n = connect_agent(w, 15, aov);
   w.subscribe(n);
@@ -455,8 +437,6 @@ TEST(Storm, AgentBuffersUnderBackpressureThenFlushesInOrder) {
 TEST(Storm, AgentReportsShedsOnHeartbeatAndServerCountsThem) {
   agent::OverloadConfig aov;
   aov.indication_queue = 4;
-  aov.shed_policy = ShedPolicy::drop_oldest;
-  aov.flush_period = 10 * kMilli;
   World w(kPlain, storm_cfg());
   auto& n = connect_agent(w, 16, aov);
   w.subscribe(n);

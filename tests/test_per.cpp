@@ -563,6 +563,27 @@ TEST(PerAlloc, InflatedUeCountIsBounded) {
   }
 }
 
+// A count the guard lets through, whose list would fit the budget, over a
+// short payload that fails at the first element: vec() reserves what the
+// payload left can back (or a 4 KiB floor), not the count's whole share of
+// the budget. Reserving the count up front allocated 17,070 B here.
+TEST(PerAlloc, ForgedCountReservesOnlyWhatThePayloadBacks) {
+  constexpr std::size_t kFiller = 1000;
+  constexpr std::uint32_t kCount = 300;
+  Buffer wire{static_cast<std::uint8_t>(0x80 | kCount >> 8),
+              static_cast<std::uint8_t>(kCount & 0xFF)};
+  // 0xFF fails the first UE at its first u32 (a bad octet count).
+  wire.resize(2 + kFiller, 0xFF);
+  ASSERT_LE(kCount, kFiller) << "the count guard must let the count through";
+  ASSERT_LE(kCount * sizeof(e2sm::mac::UeStats),
+            e2sm::PerDec::decode_budget(wire.size()))
+      << "the list must fit the budget, or the budget alone refuses it";
+  // Slack: the 4 KiB reservation floor and the error Status.
+  constexpr std::size_t kSlack = 4096 + 1024;
+  EXPECT_LE(bytes_allocated_decoding<e2sm::mac::IndicationMsg>(wire),
+            wire.size() + kSlack);
+}
+
 TEST(FlatAlloc, InflatedUeCountIsBounded) {
   // One var field holding a RAW list; every 49 bytes of filler decode as
   // one UE.

@@ -28,10 +28,9 @@ using test::World;
 /// Server posture for chaos: retain and re-establish, never expire.
 server::ShardedConfig chaos_cfg() {
   server::ShardedConfig cfg;
-  cfg.server.resilience.quarantine_after = 2 * kSecond;
+  cfg.server.quarantine_after = 2 * kSecond;
   // long: chaos must not expire the agent
-  cfg.server.resilience.expire_after = 60 * kSecond;
-  cfg.server.resilience.reestablish = true;
+  cfg.server.expire_after = 60 * kSecond;
   return cfg;
 }
 
@@ -249,9 +248,9 @@ TEST(Resilience, HeartbeatMissBoundaryDetectsAtExactlyThreshold) {
 
 TEST(Resilience, ServerQuarantinesThenExpiresSilentAgent) {
   server::ShardedConfig cfg = chaos_cfg();
-  cfg.server.resilience.quarantine_after = kSecond;
-  cfg.server.resilience.expire_after = 3 * kSecond;
-  const ResilienceConfig& srv = cfg.server.resilience;
+  cfg.server.quarantine_after = kSecond;
+  cfg.server.expire_after = 3 * kSecond;
+  const server::E2Server::Config& srv = cfg.server;
   World w(kPlain, cfg);
   ResilienceConfig rc = chaos_rc();
   rc.heartbeat_period = 0;  // mute agent: nothing keeps the link warm
@@ -436,8 +435,8 @@ std::string run_chaos(std::uint32_t shards, std::uint64_t seed) {
   std::vector<World::Node*> nodes;
   for (std::uint32_t s = 0; s < w.num_servers(); ++s) {
     auto& n = w.add_agent(s, 0, e2ap::NodeType::gnb, {}, seed * 1000003 + s);
-    n.profile.tx = {0.05, 0.02, 0.01, 0.02, 0, 2 * kMilli};
-    n.profile.rx = {0.05, 0.02, 0.01, 0.02, 0, 2 * kMilli};
+    n.profile.tx = {0.05, 0.02, 0.01, 0.02, 2 * kMilli};
+    n.profile.rx = {0.05, 0.02, 0.01, 0.02, 2 * kMilli};
     nodes.push_back(&n);
   }
   for (auto* n : nodes)

@@ -490,7 +490,7 @@ TEST(ShardedQuery, JobRunsOnShardAndReplyLandsOnHome) {
                       },
                       [&](Result<std::string> r) {
                         ASSERT_TRUE(r.is_ok());
-                        replies.push_back(std::move(r.value()));
+                        replies.push_back(std::move(*r));
                       })
                   .is_ok());
   EXPECT_TRUE(replies.empty()) << "the reply must wait for pump_home";

@@ -18,17 +18,6 @@ namespace {
 
 using server::ShardHealth;
 
-/// Supervision knobs tuned for the manual harness: 10 ms beats, degraded
-/// past 50 ms of silence, quarantined past 200 ms.
-server::ShardedConfig sup_cfg() {
-  server::ShardedConfig cfg;
-  cfg.supervise.heartbeat_period = 10 * kMilli;
-  cfg.supervise.degraded_after = 50 * kMilli;
-  cfg.supervise.quarantine_after = 200 * kMilli;
-  cfg.supervise.recover_hysteresis = 3;
-  return cfg;
-}
-
 /// Agent resilience twitchy enough to re-home within the test budget.
 ResilienceConfig fast_rc() {
   ResilienceConfig rc;
@@ -73,7 +62,7 @@ TEST(CounterBoard, StaleEpochPublishIsDropped) {
 // ---------------------------------------------------------------------------
 
 TEST(Watchdog, HealthyWhileBeating) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   w.advance(kSecond);
   for (std::uint32_t i = 0; i < 2; ++i)
     EXPECT_EQ(w.ric->supervisor().health(i), ShardHealth::healthy);
@@ -81,13 +70,14 @@ TEST(Watchdog, HealthyWhileBeating) {
 }
 
 TEST(Watchdog, DetectsWedgedShardWithinDeadline) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   w.advance(100 * kMilli);
   const Nanos wedged_at = w.clock.now();
   w.wedge_shard(1);
-  // Detection must land within quarantine_after + one heartbeat period + one
-  // watchdog quantum of the wedge (the configured deadline).
-  const Nanos deadline = 200 * kMilli + 10 * kMilli + kMilli;
+  // Detection must land within kQuarantineAfter + one heartbeat period +
+  // one watchdog quantum (the world polls every 1 ms) of the wedge.
+  const Nanos deadline = server::ShardSupervisor::kQuarantineAfter +
+                         server::ShardSupervisor::kHeartbeatPeriod + kMilli;
   w.advance(deadline);
   EXPECT_EQ(w.ric->supervisor().stats().quarantines, 1u)
       << "wedged shard not detected within the deadline";
@@ -98,7 +88,7 @@ TEST(Watchdog, DetectsWedgedShardWithinDeadline) {
 }
 
 TEST(Watchdog, DegradedShardRecoversOnlyAfterHysteresis) {
-  World w(1, sup_cfg(), /*supervised=*/true);
+  World w(1, {}, /*supervised=*/true);
   w.advance(100 * kMilli);
   // Silence the shard long enough to degrade but not to quarantine.
   w.wedge_shard(0);
@@ -107,7 +97,7 @@ TEST(Watchdog, DegradedShardRecoversOnlyAfterHysteresis) {
   // Un-wedge by hand (the handler came back on its own — no restart).
   for (auto& n : w.nodes) n->link->set_tx_credit(-1);
   w.unwedge_shard(0);
-  // One fresh poll is not enough; recover_hysteresis=3 consecutive are.
+  // One fresh poll is not enough; kRecoverHysteresis (3) consecutive are.
   w.advance(kMilli);
   EXPECT_EQ(w.ric->supervisor().health(0), ShardHealth::degraded);
   w.advance(10 * kMilli);
@@ -121,7 +111,7 @@ TEST(Watchdog, DegradedShardRecoversOnlyAfterHysteresis) {
 // ---------------------------------------------------------------------------
 
 TEST(Containment, InFlightQueryFailsFastAndNewQueriesAreRejected) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   auto& n = w.add_agent(1, 0, e2ap::NodeType::gnb, {}, 1);
   (void)n;
   ASSERT_TRUE(w.converge(*w.nodes[0]));
@@ -151,8 +141,8 @@ TEST(Containment, InFlightQueryFailsFastAndNewQueriesAreRejected) {
 }
 
 TEST(Containment, QuarantinedShardRefusesQueriesWhenNotAutoRestarted) {
-  server::ShardedConfig cfg = sup_cfg();
-  cfg.supervise.auto_restart = false;
+  server::ShardedConfig cfg;
+  cfg.auto_restart = false;
   World w(2, cfg, /*supervised=*/true);
   w.advance(100 * kMilli);
   w.wedge_shard(1);
@@ -180,7 +170,7 @@ TEST(Containment, QuarantinedShardRefusesQueriesWhenNotAutoRestarted) {
 // ---------------------------------------------------------------------------
 
 TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(0);
@@ -240,7 +230,7 @@ TEST(Recovery, WedgedShardIsRebuiltAgentsRehomeAndLedgerReconciles) {
 }
 
 TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(1);
@@ -266,8 +256,68 @@ TEST(Recovery, CrashedShardLinksResetAndLedgerReconciles) {
   w.expect_reconciles();
 }
 
+// The replacement shard wedges before it earns trust: the watchdog must
+// quarantine and rebuild it a second time, the agents must re-home onto the
+// third incarnation, and the global ledger must close over both retired
+// incarnations.
+TEST(Recovery, ReplacementWedgedWhileRecoveringIsRebuiltAgain) {
+  World w(2, {}, /*supervised=*/true);
+  w.agent_rc = fast_rc();
+  w.enable_fanout();
+  auto& a = w.add_agent(0);
+  auto& b = w.add_agent(1);
+  ASSERT_TRUE(w.converge(a));
+  ASSERT_TRUE(w.converge(b));
+  w.advance(50 * kMilli);
+  b.fn->emit(b.ctrl);
+  w.settle();
+  ASSERT_EQ(w.fanout_delivered, 1u);
+
+  w.wedge_shard(1);
+  for (Nanos t = 0; w.ric->supervisor().stats().restarts == 0; t += kMilli) {
+    ASSERT_LT(t, kSecond) << "first wedge never rebuilt";
+    w.advance(kMilli);
+  }
+  ASSERT_EQ(w.ric->supervisor().health(1), ShardHealth::recovering);
+  w.wedge_shard_raw(1);  // the replacement never turns
+  for (int i = 0; i < 5; ++i) {
+    a.fn->emit(a.ctrl);
+    b.fn->emit(b.ctrl);
+    w.advance(100 * kMilli);
+  }
+  w.advance(2 * kSecond);
+
+  std::vector<std::string> arc;
+  for (const std::string& tr : w.transitions)
+    if (tr.find(" s1 ") != std::string::npos)
+      arc.push_back(tr.substr(tr.find(" s1 ") + 4));
+  EXPECT_EQ(arc, (std::vector<std::string>{
+                     "healthy->degraded", "degraded->quarantined",
+                     "quarantined->recovering", "recovering->quarantined",
+                     "quarantined->recovering", "recovering->healthy"}));
+  EXPECT_EQ(w.ric->supervisor().stats().quarantines, 2u);
+  EXPECT_EQ(w.ric->supervisor().stats().restarts, 2u);
+  EXPECT_EQ(w.ric->supervisor().restarts_of(1), 2u);
+  EXPECT_EQ(w.pool->restarts(), 2u);
+
+  EXPECT_TRUE(w.established(b)) << "agent failed to re-home";
+  const std::uint64_t before = w.fanout_delivered;
+  b.fn->emit(b.ctrl);
+  w.advance(20 * kMilli);
+  EXPECT_GT(w.fanout_delivered, before)
+      << "subscription was not replayed on the third incarnation";
+
+  w.settle();
+  EXPECT_GT(w.ric->retired_ledger(1).msgs_rx, 0u)
+      << "the first incarnation's ledger was not harvested";
+  EXPECT_TRUE(reconcile(w.ric->global_ledger()).closes())
+      << counters_text(w.ric->global_ledger());
+  w.expect_reconciles();
+  w.expect_converged();
+}
+
 TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
-  World w(1, sup_cfg(), /*supervised=*/true);
+  World w(1, {}, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
   auto& a = w.add_agent(0);
@@ -309,7 +359,7 @@ TEST(Recovery, ParkedFanoutIsShedWithExactAccounting) {
 // control acks overflowing a 2-deep CONTROL queue must leave the indication
 // ledger exact, counting only DATA-class queue sheds.
 TEST(Recovery, ShedControlFramesStayOutOfTheIndicationLedger) {
-  server::ShardedConfig cfg = sup_cfg();
+  server::ShardedConfig cfg;
   cfg.server.overload.enabled = true;
   cfg.server.overload.control_queue = 2;
   World w(1, cfg, /*supervised=*/true);
@@ -337,7 +387,7 @@ TEST(Recovery, ShedControlFramesStayOutOfTheIndicationLedger) {
 // indication ledger exact, and the whole backlog must keep the server
 // ledger closed.
 TEST(Recovery, StrandedControlFramesStayOutOfTheIndicationLedger) {
-  server::ShardedConfig cfg = sup_cfg();
+  server::ShardedConfig cfg;
   cfg.server.overload.enabled = true;
   cfg.server.overload.dispatch_batch = 1;  // one frame per loop turn
   World w(1, cfg, /*supervised=*/true);
@@ -394,7 +444,7 @@ TEST(Recovery, StrandedControlFramesStayOutOfTheIndicationLedger) {
 TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
   // Tiny event ring so incremental directory traffic overflows and forces
   // snapshot resyncs while agents churn.
-  server::ShardedConfig cfg = sup_cfg();
+  server::ShardedConfig cfg;
   cfg.event_ring = 2;
   World w(2, cfg, /*supervised=*/true);
   w.agent_rc = fast_rc();
@@ -447,7 +497,7 @@ TEST(DirectoryResync, SnapshotRacingChurnConvergesWithoutGhosts) {
 // ---------------------------------------------------------------------------
 
 TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
-  World w(2, sup_cfg(), /*supervised=*/true);
+  World w(2, {}, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.advance(100 * kMilli);
   w.wedge_shard(1);
@@ -472,8 +522,8 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
     auto resp2 = ctrl::HttpClient::request("127.0.0.1", http.port(), "GET",
                                            "/supervision");
     if (resp1.is_ok() && resp2.is_ok()) {
-      shards_body = resp1.value().body;
-      sup_body = resp2.value().body;
+      shards_body = resp1->body;
+      sup_body = resp2->body;
       got.store(true, std::memory_order_release);
     }
   });
@@ -484,7 +534,7 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
 
   auto shards = ctrl::Json::parse(shards_body);
   ASSERT_TRUE(shards.is_ok());
-  const auto& arr = shards.value().as_object().at("shards").as_array();
+  const auto& arr = shards->as_object().at("shards").as_array();
   ASSERT_EQ(arr.size(), 2u);
   EXPECT_EQ(arr[0].as_object().at("health").as_string(), "healthy");
   EXPECT_EQ(arr[1].as_object().at("health").as_string(), "healthy");
@@ -492,7 +542,7 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
 
   auto sup = ctrl::Json::parse(sup_body);
   ASSERT_TRUE(sup.is_ok());
-  const auto& o = sup.value().as_object();
+  const auto& o = sup->as_object();
   EXPECT_EQ(o.at("supervisor_quarantines").as_number(), 1.0);
   EXPECT_EQ(o.at("supervisor_restarts").as_number(), 1.0);
   EXPECT_EQ(o.at("supervisor_recoveries").as_number(), 1.0);
@@ -505,7 +555,7 @@ TEST(SupervisionRest, ExportsHealthAndRecoveryCounters) {
 // ---------------------------------------------------------------------------
 
 std::string soak_run(std::uint32_t shards, std::uint64_t seed) {
-  World w(shards, sup_cfg(), /*supervised=*/true);
+  World w(shards, {}, /*supervised=*/true);
   w.agent_rc = fast_rc();
   w.enable_fanout();
 

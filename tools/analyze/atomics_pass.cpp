@@ -19,11 +19,6 @@
 //       fence per op on ARM/POWER; spell the intended order
 //   b5  a mutable atomic inside an `@affine(shard)` class without alignas(64)
 //       invites false sharing with its neighbours across shard threads
-//   b6  SpscRing::reset_endpoints() forgets in-flight entries and breaks the
-//       single-producer/single-consumer handoff unless both sides are known
-//       quiescent; only a supervised shard rebuild can guarantee that, so
-//       every call site must carry a `// @recovery` annotation marking it as
-//       part of that sanctioned path
 #include <algorithm>
 #include <cstddef>
 #include <map>
@@ -225,21 +220,6 @@ void register_atomics(const FileUnit& f, const FileIndex& ix, Corpus& corpus) {
                                     push ? "@producer" : "@consumer");
     corpus.ring_sites.push_back(std::move(site));
   }
-
-  // reset_endpoints call sites (b6): destructive ring re-arm, legal only
-  // from the supervised rebuild (`// @recovery`).
-  for (std::size_t i = 2; i + 1 < t.size(); ++i) {
-    if (!is_ident(t[i], "reset_endpoints")) continue;
-    if (!is_punct(t[i + 1], "(")) continue;
-    if (!(is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"))) continue;
-    if (t[i - 2].kind != Tok::identifier) continue;
-    ResetSite site;
-    site.file = f.rel;
-    site.line = t[i].line;
-    site.receiver = t[i - 2].text;
-    site.sanctioned = annotation_near(f.lx, t[i].line, "@recovery");
-    corpus.reset_sites.push_back(std::move(site));
-  }
 }
 
 void pass_atomics_order(const Corpus& corpus, const FileUnit& f,
@@ -292,18 +272,6 @@ void pass_atomics_order(const Corpus& corpus, const FileUnit& f,
              std::string("annotate the matching ") +
                  (s.push ? "try_pop" : "try_push") + " site `// @" +
                  (s.push ? "consumer" : "producer") + "(" + s.ring + ")`");
-  }
-
-  // --- b6: reset_endpoints outside the sanctioned recovery path ----------
-  for (const ResetSite& s : corpus.reset_sites) {
-    if (s.file != f.rel || s.sanctioned) continue;
-    if (corpus.spsc_names.count(s.receiver) == 0) continue;
-    report(s.line,
-           "SpscRing reset_endpoints() outside the sanctioned recovery path "
-           "— re-arming forgets in-flight entries and breaks the SPSC "
-           "handoff unless both ends are quiescent",
-           "only call this from a supervised shard rebuild (drain + harvest "
-           "first) and mark the site `// @recovery`");
   }
 
   // --- b2: relaxed group publish without a release barrier ---------------

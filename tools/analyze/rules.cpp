@@ -450,8 +450,8 @@ void rule_bounded_queue(const FileUnit& f, const ScopeInfo& scopes,
 }
 
 // ---------------------------------------------------------------------------
-// Repository invariants: unchecked-result, wire-assert, include-hygiene,
-// thread-primitives. These are line rules — one finding per offending line.
+// Repository invariants: wire-assert, include-hygiene, thread-primitives.
+// These are line rules — one finding per offending line.
 // ---------------------------------------------------------------------------
 
 void report_lines(const FileUnit& f, const std::set<int>& lines,
@@ -461,19 +461,6 @@ void report_lines(const FileUnit& f, const std::set<int>& lines,
     if (suppressed(f, line, rule)) continue;
     out->push_back({f.rel, line, rule, message, suggestion, ""});
   }
-}
-
-void rule_unchecked_result(const FileUnit& f, std::vector<Finding>* out) {
-  const Tokens& t = f.lx.tokens;
-  std::set<int> lines;
-  for (std::size_t i = 1; i + 2 < t.size(); ++i)
-    if (is_punct(t[i - 1], ".") && is_ident(t[i], "value") &&
-        is_punct(t[i + 1], "(") && is_punct(t[i + 2], ")"))
-      lines.insert(t[i].line);
-  report_lines(f, lines, "unchecked-result",
-               ".value() aborts on the error arm; branch on is_ok() and use "
-               "operator*/error() instead",
-               "test is_ok() first and read the value with operator*", out);
 }
 
 void rule_wire_assert(const FileUnit& f, std::vector<Finding>* out) {
@@ -664,8 +651,6 @@ std::vector<Finding> run_rules(const Corpus& corpus,
       pass_view_escape(corpus, f, ix, &out);
     if (rules.count("atomics-order") && f.category == "src")
       pass_atomics_order(corpus, f, ix, &out);
-    if (rules.count("unchecked-result") && (impl_cat || f.category == "fuzz"))
-      rule_unchecked_result(f, &out);
     if (rules.count("wire-assert") && f.category == "src")
       rule_wire_assert(f, &out);
     if (rules.count("include-hygiene"))

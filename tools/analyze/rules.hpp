@@ -69,10 +69,6 @@
 //                           (seq_cst) atomic ops are flagged on `@hotpath`;
 //                           atomics in `@affine(shard)` classes need
 //                           alignas(64) against false sharing.
-//   unchecked-result        `.value()` asserts on the error arm, so src/,
-//                           fuzz/, bench/ and examples/ branch on is_ok()
-//                           and use operator*/error(); only tests/ may call
-//                           it.
 //   wire-assert             no assert()/FLEXRIC_ASSERT() in src/codec/,
 //                           src/e2ap/ or src/e2sm/: malformed peer input
 //                           must become an error, never an abort.
@@ -140,16 +136,6 @@ struct RingSite {
   std::string receiver;
 };
 
-/// One SpscRing::reset_endpoints() call site. Re-arming a ring's endpoints
-/// forgets in-flight entries, so it is only legal from a supervised shard
-/// rebuild — a `// @recovery` site annotation marks the sanctioned path.
-struct ResetSite {
-  std::string file;
-  int line = 0;
-  std::string receiver;
-  bool sanctioned = false;  ///< carries `// @recovery`
-};
-
 struct Corpus {
   std::vector<FileUnit> files;
   /// Parallel to `files`: shared scope/function/annotation index, built once
@@ -178,8 +164,6 @@ struct Corpus {
   std::set<std::string> spsc_names;
   /// SpscRing endpoint call sites across the whole corpus.
   std::vector<RingSite> ring_sites;
-  /// SpscRing::reset_endpoints() call sites (b6: recovery-only).
-  std::vector<ResetSite> reset_sites;
   /// Every scanned file's rel path: include-hygiene resolves against it.
   std::set<std::string> file_set;
   /// Quoted-include roots per category, relative to the scan root ("" is
@@ -203,7 +187,6 @@ inline const char* const kAllRules[] = {
     "hotpath-alloc",
     "view-escape",
     "atomics-order",
-    "unchecked-result",
     "wire-assert",
     "include-hygiene",
     "thread-primitives",
