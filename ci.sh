@@ -59,9 +59,12 @@
 #               after the plain leg, so findings gate CI either way.
 #   --supervise standalone shard-supervision lane (DESIGN.md §15): the
 #               watchdog/quarantine/recovery suite (test_supervision) on the
-#               plain build AND under TSan — heartbeat publishes, health
-#               reads, epoch-guarded counter publishes and the rebuild
-#               handoff are exactly where a latent race would hide. The
+#               plain build AND under TSan — epoch-guarded ledger publishes
+#               (each one the shard's heartbeat), the watchdog's beat reads
+#               and the rebuild handoff are exactly where a latent race
+#               would hide. Under TSan it also runs the counter board's own
+#               tests (test_sharding's ShardStats.* and ShardedLedger.*),
+#               since that board now backs the watchdog. The
 #               suite's kill/recover soak (wedge/crash faults, 12 seeds at
 #               each of 1, 2 and 4 shards) runs every instance twice and the
 #               traces must match
@@ -211,9 +214,13 @@ run_supervise_lane() {
   echo "==== [supervise] tsan build ===="
   cmake -B "$tsan_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_FUZZ_ITERS="$fuzz_iters" -DFLEXRIC_SANITIZE="thread"
-  cmake --build "$tsan_dir" -j "$jobs" --target test_supervision
+  cmake --build "$tsan_dir" -j "$jobs" --target test_supervision \
+    test_sharding
   echo "==== [supervise] suite + 12-seed soak at 1/2/4 shards (tsan) ===="
   "$tsan_dir/tests/test_supervision" --gtest_brief=1
+  echo "==== [supervise] counter board: seqlock, epoch, ledger (tsan) ===="
+  "$tsan_dir/tests/test_sharding" --gtest_brief=1 \
+    --gtest_filter='ShardStats.*:ShardedLedger.*'
 }
 
 # --analyze is a standalone lane: run it and exit without the full matrix.

@@ -39,8 +39,11 @@ inline Buffer random_bytes(Rng& rng, std::size_t max_len) {
 
 /// Generating archive: fills a message from an Rng by walking its serde()
 /// declaration. ranged() draws inside the declared range, so every value it
-/// builds encodes; other scalars draw their full width, except that f64
-/// draws finite values only (NaN != NaN would break the round-trip check).
+/// builds encodes; enum8() draws up to the enum's enum_last(), except that
+/// with chance `forge_chance` it draws past it, a value every decoder must
+/// reject (forged() counts them); other scalars draw their full width,
+/// except that f64 draws finite values only (NaN != NaN would break the
+/// round-trip check).
 /// Lists hold up to kMaxCount random elements. A top-level list is instead
 /// up to kMaxLongCount long with chance `long_chance`, or, when
 /// `floor_count` is set, exactly that many default elements: the smallest
@@ -52,8 +55,11 @@ class Gen : public e2sm::Archive<Gen> {
   static constexpr std::size_t kMaxLongCount = 1024;
 
   explicit Gen(Rng& rng, double long_chance = 0.0,
-               std::size_t floor_count = 0)
-      : rng_(rng), long_chance_(long_chance), floor_count_(floor_count) {}
+               std::size_t floor_count = 0, double forge_chance = 0.0)
+      : rng_(rng),
+        long_chance_(long_chance),
+        floor_count_(floor_count),
+        forge_chance_(forge_chance) {}
   void u8(std::uint8_t& v) { v = static_cast<std::uint8_t>(rng_.next()); }
   void u16(std::uint16_t& v) { v = static_cast<std::uint16_t>(rng_.next()); }
   void u32(std::uint32_t& v) { v = static_cast<std::uint32_t>(rng_.next()); }
@@ -66,7 +72,13 @@ class Gen : public e2sm::Archive<Gen> {
   void boolean(bool& v) { v = rng_.chance(0.5); }
   template <typename E>
   void enum8(E& v) {
-    v = static_cast<E>(static_cast<std::uint8_t>(rng_.next()));
+    const auto last = static_cast<std::uint64_t>(enum_last(E{}));
+    if (forge_chance_ > 0.0 && rng_.chance(forge_chance_)) {
+      forged_++;
+      v = static_cast<E>(last + 1 + rng_.bounded(0xFF - last));
+    } else {
+      v = static_cast<E>(rng_.bounded(last + 1));
+    }
   }
   void str(std::string& v) {
     const Buffer b = random_bytes(rng_, kMaxLen);
@@ -100,11 +112,15 @@ class Gen : public e2sm::Archive<Gen> {
     for (auto& e : v) elem(*this, e);
     --depth_;
   }
+  /// Enums drawn past their enum_last() so far.
+  [[nodiscard]] std::size_t forged() const noexcept { return forged_; }
 
  private:
   Rng& rng_;
   double long_chance_;
   std::size_t floor_count_;
+  double forge_chance_;
+  std::size_t forged_ = 0;
   int depth_ = 0;  ///< lists being filled around the current field
 };
 

@@ -1,10 +1,12 @@
 // Deterministic fuzzer for the E2SM layer: every payload type src/
 // passes to sm_encode/sm_decode, plus the four FlexRAN PROTO messages.
-// Iteration i generates a value of type i mod kNumTypes with gen<T> and, in
+// Iteration i generates a value of type i mod kNumTypes with Gen and, in
 // PER, FLAT and PROTO, asserts decode(encode(v)) == v (so the formats agree
 // on the IR) and that every strict prefix fails to decode (8 spread over an
-// input past 4 KiB). It then decodes a bit-flipped, a length-corrupted and a
-// random frame: any Result but never a crash. Every decode allocates at most
+// input past 4 KiB). One enum in 32 is forged past its enum_last(): a value
+// holding one must fail to decode as malformed in every format. It then
+// decodes a bit-flipped, a length-corrupted and a random frame: any Result
+// but never a crash. Every decode allocates at most
 // 16x the frame + 4 KiB (DESIGN.md §6); a fresh encoding may be refused only
 // as over that budget, and only when the value itself holds more. One
 // top-level list in 128 is long, so inputs pass the 4 KiB floor; before the
@@ -60,6 +62,7 @@ constexpr std::size_t alloc_budget(std::size_t input) {
 }
 
 constexpr double kLongChance = 1.0 / 128;
+constexpr double kForgeChance = 1.0 / 32;
 constexpr std::size_t kAllPrefixes = 4096;    ///< inputs with every prefix
 constexpr std::size_t kSampledPrefixes = 8;   ///< prefixes of longer ones
 
@@ -95,6 +98,7 @@ struct State {
   std::array<Worst, kFormats.size()> worst;
   std::array<std::size_t, kFormats.size()> largest{};
   std::size_t refused = 0;  ///< fresh encodings over the decode budget
+  std::size_t forged = 0;   ///< encodings of forged enums, all rejected
 };
 
 /// Decode an attacked frame: any Result is fine, but no more allocation
@@ -111,7 +115,7 @@ void attack(State& s, std::size_t fi, const Buffer& wire, Tally& tally) {
 }
 
 template <typename T>
-void check(State& s, std::size_t fi, const T& v) {
+void check(State& s, std::size_t fi, const T& v, bool forged) {
   const WireFormat f = kFormats[fi];
   const Buffer wire = e2sm::sm_encode(v, f);
   s.largest[fi] = std::max(s.largest[fi], wire.size());
@@ -120,7 +124,11 @@ void check(State& s, std::size_t fi, const T& v) {
   const std::size_t bytes = alloc_counter::disarm();
   if (bytes > alloc_budget(wire.size()))
     fail("decode allocated more than 16x its input + 4 KiB", s.iter);
-  if (!rt) {
+  if (forged) {
+    if (rt || rt.error().code != Errc::malformed)
+      fail("a forged enum decoded", s.iter);
+    s.forged++;
+  } else if (!rt) {
     if (rt.error().message != e2sm::kOverBudget ||
         footprint(v) <= e2sm::PerDec::decode_budget(wire.size()))
       fail("decode of a freshly encoded payload failed", s.iter);
@@ -140,14 +148,17 @@ void check(State& s, std::size_t fi, const T& v) {
 
 template <typename T>
 void run(State& s) {
-  const T v = gen<T>(s.rng, kLongChance);
-  for (std::size_t fi = 0; fi < kFormats.size(); ++fi) check(s, fi, v);
+  T v{};
+  Gen g(s.rng, kLongChance, 0, kForgeChance);
+  g.field(v);
+  for (std::size_t fi = 0; fi < kFormats.size(); ++fi)
+    check(s, fi, v, g.forged() > 0);
 }
 
 template <typename T>
 void run_floor(State& s) {
   for (std::size_t fi = 0; fi < kFormats.size(); ++fi)
-    check(s, fi, gen<T>(s.rng, 0.0, floor_count(kFormats[fi])));
+    check(s, fi, gen<T>(s.rng, 0.0, floor_count(kFormats[fi])), false);
 }
 
 template <typename... T>
@@ -175,10 +186,12 @@ int main(int argc, char** argv) {
       "fuzz_sm: %zu iterations ok over %zu of %zu types (seed 0x%llx), "
       "after a smallest-element pass over all of them\n"
       "  decoded/rejected: bit-flip %zu/%zu, length-corrupt %zu/%zu, "
-      "random %zu/%zu; fresh encodings refused as over budget: %zu\n",
+      "random %zu/%zu; fresh encodings refused as over budget: %zu; "
+      "forged enums rejected: %zu\n",
       cfg.iters, std::min(cfg.iters, kNumTypes), kNumTypes,
       static_cast<unsigned long long>(cfg.seed), s.flip.ok, s.flip.err,
-      s.length.ok, s.length.err, s.random.ok, s.random.err, s.refused);
+      s.length.ok, s.length.err, s.random.ok, s.random.err, s.refused,
+      s.forged);
   for (std::size_t fi = 0; fi < kFormats.size(); ++fi) {
     const Worst& w = s.worst[fi];
     std::printf("  %s worst mutated decode: %zu B allocated for %zu B (%.1fx, "

@@ -1,4 +1,4 @@
-// Cache-aligned per-shard counter board (DESIGN.md §13).
+// Cache-aligned per-shard counter board (DESIGN.md §13, §15).
 //
 // Each shard owns one 64-byte-aligned slot of atomics and is the only
 // writer of that slot; any thread may read and sum. A per-slot seqlock
@@ -9,6 +9,11 @@
 // ShardedE2Server), and a northbound query sums the slots — no lock, no
 // shared hot-path state, no cross-shard cache-line ping-pong (each slot is
 // alone on its line).
+//
+// The same publish is the shard's heartbeat: the slot counts its
+// incarnation's publishes and keeps the publishing reactor's time of the
+// newest, and the ShardSupervisor watchdog reads that beat to tell a live
+// loop from a wedged one. A loop that stops turning stops publishing.
 //
 // The ledger's fields are declared once, in ServerLedger / ShardLedger and
 // their counters() walks (common/counters.hpp). The slot and the sum derive
@@ -131,69 +136,15 @@ struct IndicationFlow {
                          f.supervisor_shed + server_shed};
 }
 
-/// Cache-aligned per-shard liveness board (DESIGN.md §15).
-///
-/// Each shard loop publishes a cheap heartbeat — a loop-turn counter plus
-/// the reactor timestamp of its last observed progress — into its own
-/// 64-byte slot; the home-side watchdog reads the slots and classifies
-/// shards (healthy / degraded / quarantined / recovering) from the age of
-/// the newest beat. Same single-writer-per-slot discipline as the counter
-/// board below: the shard is the only writer of its slot, any thread reads.
-///
-/// The two fields are published progress-first / turns-last with a release
-/// store on `turns`, and read turns-first with an acquire load, so a reader
-/// that observes turn N also observes (at least) the progress timestamp
-/// that accompanied it. A torn pair is still monotone in both fields, so
-/// the watchdog can only under-estimate freshness — the safe direction.
-class ShardHealthBoard {
- public:
-  struct Beat {
-    std::uint64_t turns = 0;   ///< loop-turn counter (heartbeat ticks)
-    std::int64_t progress_ns = 0;  ///< reactor time of the last beat
-  };
-
-  explicit ShardHealthBoard(std::uint32_t shards)
-      : shards_(shards), slots_(std::make_unique<Slot[]>(shards)) {}
-
-  [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
-
-  /// Shard-side: one heartbeat. Wait-free, two stores, no rmw.
-  void beat(std::uint32_t shard, std::int64_t now_ns) noexcept {
-    Slot& s = slots_[shard];
-    const std::uint64_t t = s.turns.load(std::memory_order_relaxed);
-    s.progress_ns.store(now_ns, std::memory_order_relaxed);
-    s.turns.store(t + 1, std::memory_order_release);
-  }
-
-  /// Watchdog-side: the freshest beat this reader can prove.
-  [[nodiscard]] Beat read(std::uint32_t shard) const noexcept {
-    const Slot& s = slots_[shard];
-    Beat b;
-    b.turns = s.turns.load(std::memory_order_acquire);
-    b.progress_ns = s.progress_ns.load(std::memory_order_relaxed);
-    return b;
-  }
-
-  /// Recovery: a replacement shard starts its heartbeat history fresh so
-  /// hysteresis counts beats of the new loop, not the corpse's.
-  void reset(std::uint32_t shard) noexcept {
-    Slot& s = slots_[shard];
-    s.progress_ns.store(0, std::memory_order_relaxed);
-    s.turns.store(0, std::memory_order_release);
-  }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> turns{0};
-    std::atomic<std::int64_t> progress_ns{0};
-  };
-
-  std::uint32_t shards_;
-  std::unique_ptr<Slot[]> slots_;
-};
-
 class ShardCounterBoard {
  public:
+  /// A shard's heartbeat: how many ledgers its current incarnation has
+  /// published, and the publishing reactor's time at the newest one.
+  struct Beat {
+    std::uint64_t count = 0;
+    std::int64_t at_ns = 0;
+  };
+
   /// Cache-line aligned per shard; the shard index is the only writer key.
   struct alignas(64) Slot {
     /// Seqlock sequence: odd while the owning shard is mid-publish. Readers
@@ -202,10 +153,13 @@ class ShardCounterBoard {
     std::atomic<std::uint64_t> seq{0};
     /// Incarnation epoch (DESIGN.md §15): a publish stamped with a stale
     /// epoch is dropped, so a force-restarted shard's leaked corpse loop
-    /// cannot scribble over the replacement's slot if it ever un-wedges.
+    /// cannot scribble over the replacement's slot (or beat for it) if it
+    /// ever un-wedges.
     std::atomic<std::uint64_t> epoch{0};
     std::array<std::atomic<std::uint64_t>, counter_count<ShardLedger>()>
         fields{};
+    std::atomic<std::uint64_t> beats{0};  ///< Beat::count
+    std::atomic<std::int64_t> beat_ns{0};  ///< Beat::at_ns
   };
 
   explicit ShardCounterBoard(std::uint32_t shards)
@@ -213,55 +167,54 @@ class ShardCounterBoard {
 
   [[nodiscard]] std::uint32_t shards() const noexcept { return shards_; }
 
-  /// The writing shard publishes a full ledger image under a seqlock
-  /// (Boehm-style), with the ordering on the atomics themselves: bump the
-  /// sequence odd, release-store each field (so the odd sequence is visible
-  /// to whoever reads that field), then release-store the sequence even.
-  /// The reader acquire-loads each field, so its closing sequence load
-  /// cannot move above them. A reader that sees the same even sequence on
-  /// both sides of its loads got an untorn image — the §11 reconciliation
-  /// invariant holds across fields, not just within each one. No fences:
-  /// ThreadSanitizer models this ordering, and on x86 it costs nothing.
+  /// Publish into `shard`'s slot under its current epoch.
   void publish(std::uint32_t shard, const ShardLedger& v) noexcept {
     publish(shard, v, epoch_of(shard));
   }
 
-  /// Epoch-stamped publish: writers born before the last bump_epoch() are
-  /// silently dropped. The residual race — a writer that passed the check
-  /// and then stalled mid-publish — is confined to threaded force-restart
-  /// (the caller also retires that incarnation's rings, so the slot is the
-  /// only shared cell, and the replacement's next publish overwrites it).
-  void publish(std::uint32_t shard, const ShardLedger& v,
-               std::uint64_t epoch) noexcept {
+  /// The writing shard publishes a full ledger image, which is also one
+  /// beat stamped `now_ns`. Writers born before the last bump_epoch() are
+  /// silently dropped: no ledger, no beat. The residual race — a writer
+  /// that passed the check and then stalled mid-publish — is confined to
+  /// threaded force-restart (the caller also retires that incarnation's
+  /// rings, so the slot is the only shared cell, and the rebuild's reset
+  /// and the replacement's next publish overwrite it).
+  void publish(std::uint32_t shard, const ShardLedger& v, std::uint64_t epoch,
+               std::int64_t now_ns = 0) noexcept {
     Slot& s = slots_[shard];
     if (epoch != s.epoch.load(std::memory_order_acquire)) return;
-    const std::uint64_t s0 = s.seq.load(std::memory_order_relaxed);
-    s.seq.store(s0 + 1, std::memory_order_relaxed);
-    std::size_t i = 0;
-    counters(
-        [&](std::string_view, std::uint64_t x) {
-          s.fields[i++].store(x, std::memory_order_release);
-        },
-        v);
-    s.seq.store(s0 + 2, std::memory_order_release);
+    write(s, v, {s.beats.load(std::memory_order_relaxed) + 1, now_ns});
   }
 
-  /// Seqlock read side: retry while a publish is in flight (odd sequence)
-  /// or raced past us (sequence changed across the loads).
+  /// Recovery: zero `shard`'s slot (an empty ledger and no beat), so the
+  /// replacement's ledger and heartbeat history start fresh. Not a beat.
+  void reset(std::uint32_t shard) noexcept {
+    write(slots_[shard], ShardLedger{}, Beat{});
+  }
+
   [[nodiscard]] ShardLedger read(std::uint32_t shard) const noexcept {
     const Slot& s = slots_[shard];
     ShardLedger v;
-    for (;;) {
-      const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
-      if (s1 & 1) continue;
+    read_untorn(s, [&] {
       std::size_t i = 0;
       counters(
           [&](std::string_view, std::uint64_t& x) {
             x = s.fields[i++].load(std::memory_order_acquire);
           },
           v);
-      if (s.seq.load(std::memory_order_relaxed) == s1) return v;
-    }
+    });
+    return v;
+  }
+
+  /// Watchdog-side: the newest beat, untorn from the ledger beside it.
+  [[nodiscard]] Beat beat(std::uint32_t shard) const noexcept {
+    const Slot& s = slots_[shard];
+    Beat b;
+    read_untorn(s, [&] {
+      b.count = s.beats.load(std::memory_order_acquire);
+      b.at_ns = s.beat_ns.load(std::memory_order_acquire);
+    });
+    return b;
   }
 
   [[nodiscard]] std::uint64_t epoch_of(std::uint32_t shard) const noexcept {
@@ -280,6 +233,44 @@ class ShardCounterBoard {
   }
 
  private:
+  /// Seqlock write side (Boehm-style), with the ordering on the atomics
+  /// themselves: bump the sequence odd, release-store each field (so the
+  /// odd sequence is visible to whoever reads that field), then
+  /// release-store the sequence even. The reader acquire-loads each field,
+  /// so its closing sequence load cannot move above them. A reader that
+  /// sees the same even sequence on both sides of its loads got an untorn
+  /// image — the §11 reconciliation invariant holds across fields, not just
+  /// within each one. No fences: ThreadSanitizer models this ordering, and
+  /// on x86 it costs nothing. The sequence starts from the even value at or
+  /// below the current one, so the residual race's second writer cannot
+  /// leave it odd, which would stall every reader for good.
+  static void write(Slot& s, const ShardLedger& v, Beat b) noexcept {
+    const std::uint64_t s0 =
+        s.seq.load(std::memory_order_relaxed) & ~std::uint64_t{1};
+    s.seq.store(s0 + 1, std::memory_order_relaxed);
+    std::size_t i = 0;
+    counters(
+        [&](std::string_view, std::uint64_t x) {
+          s.fields[i++].store(x, std::memory_order_release);
+        },
+        v);
+    s.beats.store(b.count, std::memory_order_release);
+    s.beat_ns.store(b.at_ns, std::memory_order_release);
+    s.seq.store(s0 + 2, std::memory_order_release);
+  }
+
+  /// Seqlock read side: rerun `load` while a publish is in flight (odd
+  /// sequence) or raced past it (sequence changed across the loads).
+  template <typename Load>
+  static void read_untorn(const Slot& s, Load&& load) noexcept {
+    for (;;) {
+      const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
+      if (s1 & 1) continue;
+      load();
+      if (s.seq.load(std::memory_order_relaxed) == s1) return;
+    }
+  }
+
   std::uint32_t shards_;
   std::unique_ptr<Slot[]> slots_;
 };

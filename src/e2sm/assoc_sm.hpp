@@ -20,6 +20,7 @@ struct Sm {
 };
 
 enum class CtrlKind : std::uint8_t { associate = 0, dissociate };
+constexpr CtrlKind enum_last(CtrlKind) { return CtrlKind::dissociate; }
 
 /// Control: expose (or hide) `rnti` to the agent-local controller with
 /// index `controller_index` (the order in which controllers connected to

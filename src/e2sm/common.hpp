@@ -16,6 +16,7 @@
 namespace flexric::e2sm {
 
 enum class TriggerKind : std::uint8_t { periodic = 0, on_event };
+constexpr TriggerKind enum_last(TriggerKind) { return TriggerKind::on_event; }
 
 /// Event trigger carried in RICsubscriptionRequest (SM-encoded).
 struct EventTrigger {

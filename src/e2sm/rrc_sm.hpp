@@ -32,6 +32,7 @@ void serde(A& a, ActionDef& d) {
 }
 
 enum class EventKind : std::uint8_t { attach = 0, detach, reconfig };
+constexpr EventKind enum_last(EventKind) { return EventKind::reconfig; }
 
 struct IndicationHdr {
   std::uint64_t tstamp_ns = 0;

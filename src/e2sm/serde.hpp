@@ -26,6 +26,10 @@
 //   vec(v, elem)         a list whose elements need more than field(), such
 //                        as ranged ids; `elem(archive, element)` codes one.
 //
+// enum8(e) codes an enum in one byte. Every enum an E2SM message carries
+// declares its last enumerator once, as `enum_last(E)` beside it, and a
+// decoded value past it is malformed.
+//
 // Archives record the first error in a Status instead of returning
 // per-field Results, keeping serde() declarations linear: encoders report
 // out-of-range values, decoders bad wire data. After an error all further
@@ -41,6 +45,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -62,6 +67,8 @@ enum class ListCount : std::uint8_t { uvarint, u32 };
 /// The error message of a decode that would allocate past decode_budget().
 inline constexpr const char* kOverBudget =
     "decode exceeds its allocation budget";
+/// The error message of a decoded enum past its enum_last().
+inline constexpr const char* kBadEnum = "enum value out of range";
 
 /// The default element codec of vec() and body().
 struct FieldFn {
@@ -111,6 +118,14 @@ class Archive {
     D& a = static_cast<D&>(*this);
     a.present(v);
     a.body(v);
+  }
+
+  /// Every decoder's enum8: one byte, no larger than enum_last(E). Each
+  /// encoder declares its own enum8, which hides this one.
+  template <typename E>
+  void enum8(E& v) {
+    byte_enum(v);
+    if (ok() && v > enum_last(E{})) fail(Errc::malformed, kBadEnum);
   }
 
   [[nodiscard]] bool ok() const noexcept { return status_.is_ok(); }
@@ -189,6 +204,14 @@ class Archive {
   }
   void check_range(bool in) {
     if (!in) fail(Errc::out_of_range, "value out of range");
+  }
+  /// An enum in one byte, unchecked: the RAW and FLAT decoders' ranged()
+  /// reads E2AP's enums this way and checks the range it declares.
+  template <typename E>
+  void byte_enum(E& v) {
+    std::uint8_t b = 0;
+    static_cast<D&>(*this).u8(b);
+    v = static_cast<E>(b);
   }
   std::size_t budget_ = 0;
 
@@ -294,17 +317,12 @@ class RawDec : public Archive<RawDec<kCount>> {
     u8(b);
     v = b != 0;
   }
-  template <typename E>
-  void enum8(E& v) {
-    std::uint8_t b = 0;
-    u8(b);
-    v = static_cast<E>(b);
-  }
   void str(std::string& v) { take(v, r_.lp_bytes()); }
   void bytes(Buffer& v) { take(v, r_.lp_bytes()); }
   template <typename T>
   void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
-    field(v);
+    if constexpr (std::is_enum_v<T>) this->byte_enum(v);
+    else field(v);
     if (ok()) this->check_range(in_range(v, lo, hi));
   }
   template <typename O>
@@ -396,12 +414,6 @@ class PerDec : public Archive<PerDec> {
   void i64(std::int64_t& v) { get(r_.integer(), v); }
   void f64(double& v) { get(r_.real(), v); }
   void boolean(bool& v) { get(r_.boolean(), v); }
-  template <typename E>
-  void enum8(E& v) {
-    std::uint8_t b = 0;
-    u8(b);
-    v = static_cast<E>(b);
-  }
   void str(std::string& v) { take(v, r_.octet_view()); }
   void bytes(Buffer& v) { take(v, r_.octet_view()); }
   template <typename T>
@@ -514,18 +526,13 @@ class FlatDec : public Archive<FlatDec<kCount>> {
   void i64(std::int64_t& v) { get(v_.i64(), v); }
   void f64(double& v) { get(v_.f64(), v); }
   void boolean(bool& v) { get(v_.boolean(), v); }
-  template <typename E>
-  void enum8(E& v) {
-    std::uint8_t b = 0;
-    u8(b);
-    v = static_cast<E>(b);
-  }
   // Var fields may alias one region; the budget bounds the copies anyway.
   void str(std::string& v) { take(v, v_.var_bytes()); }
   void bytes(Buffer& v) { take(v, v_.var_bytes()); }
   template <typename T>
   void ranged(T& v, std::uint64_t lo, std::uint64_t hi) {
-    field(v);
+    if constexpr (std::is_enum_v<T>) this->byte_enum(v);
+    else field(v);
     if (ok()) this->check_range(in_range(v, lo, hi));
   }
   template <typename O>
@@ -631,12 +638,6 @@ class ProtoDec : public Archive<ProtoDec> {
     u64(b);
     v = b != 0;
   }
-  template <typename E>
-  void enum8(E& v) {
-    std::uint8_t b = 0;
-    u8(b);
-    v = static_cast<E>(b);
-  }
   void str(std::string& v) {
     auto f = expect(ProtoWireType::len);
     if (f) take(v, f->bytes);
@@ -707,10 +708,15 @@ class ProtoDec : public Archive<ProtoDec> {
     budget_ = child.budget_left();
     merge(child.status());
   }
+  /// A varint wider than its field is malformed, not truncated.
   template <typename T>
   void varint_into(T& v) {
     auto f = expect(ProtoWireType::varint);
-    if (f) v = static_cast<T>(f->varint);
+    if (!f) return;
+    if (f->varint > std::numeric_limits<T>::max())
+      fail(Errc::malformed, "varint exceeds its field");
+    else
+      v = static_cast<T>(f->varint);
   }
   ProtoReader r_;
 };

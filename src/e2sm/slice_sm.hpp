@@ -34,15 +34,18 @@ void serde(A& a, ActionDef& d) {
 
 /// Slice-scheduler algorithm. `none` removes slicing (plain UE scheduling).
 enum class Algo : std::uint8_t { none = 0, static_rb, nvs };
+constexpr Algo enum_last(Algo) { return Algo::nvs; }
 
 /// Per-slice UE scheduler.
 enum class UeSched : std::uint8_t { rr = 0, pf, mt };
+constexpr UeSched enum_last(UeSched) { return UeSched::mt; }
 
 /// NVS slice parameterization [Kokku et al., ToN 2012]: either a capacity
 /// slice (fraction of resources) or a rate slice (reserved rate over a
 /// reference rate). Appendix B of the paper shows both are equivalent and
 /// how the virtualization layer rescales them.
 enum class NvsKind : std::uint8_t { capacity = 0, rate };
+constexpr NvsKind enum_last(NvsKind) { return NvsKind::rate; }
 
 struct NvsParams {
   NvsKind kind = NvsKind::capacity;
@@ -107,6 +110,7 @@ void serde(A& a, UeSliceAssoc& u) {
 
 /// Control message kinds (E2SM CHOICE realized as a tagged struct).
 enum class CtrlKind : std::uint8_t { add_mod = 0, del, assoc_ue };
+constexpr CtrlKind enum_last(CtrlKind) { return CtrlKind::assoc_ue; }
 
 /// RIC Control payload for the SC SM.
 struct CtrlMsg {

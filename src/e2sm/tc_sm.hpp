@@ -52,6 +52,9 @@ void serde(A& a, PolicyDef& p) {
 enum class QueueKind : std::uint8_t { fifo = 0, codel };
 enum class SchedKind : std::uint8_t { rr = 0, prio, wrr };
 enum class PacerKind : std::uint8_t { none = 0, bdp };
+constexpr QueueKind enum_last(QueueKind) { return QueueKind::codel; }
+constexpr SchedKind enum_last(SchedKind) { return SchedKind::wrr; }
+constexpr PacerKind enum_last(PacerKind) { return PacerKind::bdp; }
 
 /// 5-tuple classifier match (exact match; 0 = wildcard).
 struct FiveTuple {
@@ -139,6 +142,7 @@ enum class CtrlKind : std::uint8_t {
   sched_conf,
   pacer_conf,
 };
+constexpr CtrlKind enum_last(CtrlKind) { return CtrlKind::pacer_conf; }
 
 /// RIC Control payload for the TC SM (tagged union as tagged struct).
 struct CtrlMsg {

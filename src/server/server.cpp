@@ -147,43 +147,49 @@ Status E2Server::send(AgentId id, const e2ap::Msg& m) {
 }
 
 void E2Server::on_close(AgentId id) {
-  // In-flight control transactions die with the link either way: an answer
-  // can never arrive for a request the agent may not have seen.
-  fail_ctrls(id);
-
   auto it = conns_.find(id);
   const bool retain = cfg_.expire_after > 0 &&
                       it != conns_.end() && it->second.established &&
                       db_.agent(id) != nullptr;
-  if (retain) {
-    Conn& c = it->second;
-    // This runs from inside the transport's own close path; destroying it
-    // here would be use-after-free. Park the reference until the next loop
-    // turn instead.
-    if (c.transport) reactor_.post([t = std::move(c.transport)] {});
-    c.route.reset();
-    c.established = false;
-    c.quarantined = false;
-    c.detached = true;
-    c.detached_at = reactor_.now();
-    if (const AgentInfo* old = db_.agent(id)) {
-      AgentInfo info = *old;
-      info.connected = false;
-      db_.add_agent(info);
-    }
-    LOG_INFO("server", "agent %u detached, retained for %lld ms", id,
-             static_cast<long long>(cfg_.expire_after / kMilli));
-    // iApps are deliberately not told "disconnected": the agent is
-    // momentarily unreachable; reconnection or expiry resolves it.
-    ensure_liveness_timer();
+  if (!retain) {
+    drop_agent(id);
     return;
   }
+  Conn& c = it->second;
+  // In-flight control transactions die with the link either way: an answer
+  // can never arrive for a request the agent may not have seen.
+  fail_ctrls(id);
+  // This runs from inside the transport's own close path; destroying it
+  // here would be use-after-free. Park the reference until the next loop
+  // turn instead.
+  if (c.transport) reactor_.post([t = std::move(c.transport)] {});
+  c.route.reset();
+  c.established = false;
+  c.quarantined = false;
+  c.detached = true;
+  c.detached_at = reactor_.now();
+  if (const AgentInfo* old = db_.agent(id)) {
+    AgentInfo info = *old;
+    info.connected = false;
+    db_.add_agent(info);
+  }
+  LOG_INFO("server", "agent %u detached, retained for %lld ms", id,
+           static_cast<long long>(cfg_.expire_after / kMilli));
+  // iApps are deliberately not told "disconnected": the agent is
+  // momentarily unreachable; reconnection or expiry resolves it.
+  ensure_liveness_timer();
+}
 
+void E2Server::drop_agent(AgentId id) {
+  auto it = conns_.find(id);
   if (it != conns_.end()) {
+    // May run inside the transport's own close path (on_close): destroying
+    // it here would be use-after-free, so it dies on the next loop turn.
     if (it->second.transport)
       reactor_.post([t = std::move(it->second.transport)] {});
     conns_.erase(it);
   }
+  fail_ctrls(id);
   if (db_.agent(id) != nullptr) {
     db_.remove_agent(id);
     for (auto& app : iapps_) app->on_agent_disconnected(id);
@@ -241,22 +247,13 @@ void E2Server::expire_agent(AgentId id) {
   stats_.expiries++;
   LOG_INFO("server", "agent %u expired", id);
   auto it = conns_.find(id);
-  if (it != conns_.end()) {
-    if (it->second.transport) {
-      it->second.transport->set_on_message(nullptr);
-      it->second.transport->set_on_close(nullptr);
-      it->second.transport->close();
-      reactor_.post([t = std::move(it->second.transport)] {});
-    }
-    conns_.erase(it);
+  if (it != conns_.end() && it->second.transport) {
+    // Detach first: our own close must not re-enter on_close.
+    it->second.transport->set_on_message(nullptr);
+    it->second.transport->set_on_close(nullptr);
+    it->second.transport->close();
   }
-  fail_ctrls(id);
-  if (db_.agent(id) != nullptr) {
-    db_.remove_agent(id);
-    for (auto& app : iapps_) app->on_agent_disconnected(id);
-  }
-  for (auto sit = subs_.begin(); sit != subs_.end();)
-    sit = (sit->first.agent == id) ? subs_.erase(sit) : std::next(sit);
+  drop_agent(id);
 }
 
 void E2Server::liveness_scan() {

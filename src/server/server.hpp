@@ -283,8 +283,12 @@ class E2Server {
   /// cause: the request died with the link, pretending otherwise would
   /// leave iApps waiting forever.
   void fail_ctrls(AgentId id);
-  /// Full teardown through the normal disconnect path: conn, RanDb entry,
-  /// subscriptions, iApp notification.
+  /// The one agent teardown: release the transport (destroyed on the next
+  /// loop turn), erase the conn, fail in-flight controls, drop the RanDb
+  /// entry (telling iApps) and the subscriptions.
+  void drop_agent(AgentId id);
+  /// Give up on a retained or idle agent: detach and close its transport,
+  /// then drop_agent().
   void expire_agent(AgentId id);
   void liveness_scan();
   void ensure_liveness_timer();

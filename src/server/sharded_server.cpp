@@ -11,7 +11,8 @@ namespace flexric::server {
 
 // One Relay runs inside each shard's E2Server as an ordinary iApp, entirely
 // on that shard's reactor thread; its only outputs are ring pushes and
-// counter-board publishes. Everything it owns is shard-affine.
+// counter-board publishes (each one also the shard's heartbeat). Everything
+// it owns is shard-affine.
 // @affine(shard)
 class ShardedE2Server::Relay final : public IApp {
  public:
@@ -28,7 +29,7 @@ class ShardedE2Server::Relay final : public IApp {
   void on_start(E2Server& server) override {
     IApp::on_start(server);
     server.reactor().add_timer(
-        kPublishPeriod,
+        ShardSupervisor::kHeartbeatPeriod,
         [this, alive = std::weak_ptr<bool>(alive_)] {
           auto a = alive.lock();
           if (!a || !*a) return;
@@ -83,11 +84,13 @@ class ShardedE2Server::Relay final : public IApp {
     return v;
   }
 
-  /// Copy the shard's ledger into its cache-aligned board slot. Runs on the
-  /// shard thread (timer); the board is the cross-thread-readable face. The
-  /// epoch stamp keeps a retired incarnation off the replacement's slot.
+  /// Copy the shard's ledger into its cache-aligned board slot, stamped
+  /// with this loop's time: the beat the watchdog reads (DESIGN.md §15).
+  /// Runs on the shard thread (timer); the board is the cross-thread-
+  /// readable face. The epoch stamp keeps a retired incarnation off the
+  /// replacement's slot.
   void publish() {
-    board_.publish(shard_, collect(), epoch_);
+    board_.publish(shard_, collect(), epoch_, server_->reactor().now());
     if (pending_resync_) try_resync();
   }
 
@@ -173,9 +176,7 @@ ShardedE2Server::ShardedE2Server(ShardPool& pool, ShardedConfig cfg)
       accepting_(pool.size(), 1),
       retired_ledgers_(pool.size()) {
   for (std::uint32_t i = 0; i < pool_.size(); ++i) build_cell(i);
-  pool_.enable_heartbeat(ShardSupervisor::kHeartbeatPeriod);
-  supervisor_ =
-      std::make_unique<ShardSupervisor>(pool_, *this, cfg_.auto_restart);
+  supervisor_ = std::make_unique<ShardSupervisor>(*this, cfg_.auto_restart);
 }
 
 ShardedE2Server::~ShardedE2Server() {
@@ -429,14 +430,16 @@ void ShardedE2Server::rebuild_shard(std::uint32_t shard) {
   harvest.data_queued = 0;
   add_counters(retired_ledgers_[shard], harvest);
   // Retire the slot's writer incarnation before the teardown: a leaked
-  // corpse loop that un-wedges later publishes into the void.
+  // corpse loop that un-wedges later publishes into the void. Then zero the
+  // slot: its ledger now lives in the retired total, and the replacement
+  // must beat before the watchdog trusts it.
   board_.bump_epoch(shard);
+  board_.reset(shard);
   if (manual) {
     // Destroy the dead cell while its reactor still lives (the server
     // unregisters from it); its drained rings go with it.
     cells_[shard]->server.reset();
     cells_[shard].reset();
-    board_.publish(shard, ShardLedger{});
   } else {
     // A wedged loop thread may still be inside the cell: retire it whole
     // (leaked at destruction).

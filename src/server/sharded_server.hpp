@@ -18,6 +18,8 @@
 // into its cache-aligned ShardCounterBoard slot from its own thread (a
 // periodic timer), and global_ledger() sums the slots, so the §11
 // reconciliation (reconcile() in common/shard_stats.hpp) survives sharding.
+// That publish is also the shard's heartbeat, which the ShardSupervisor
+// watchdog reads (DESIGN.md §15).
 //
 // Ownership vocabulary: per-shard state is @affine(shard) — the runtime
 // guard is the shard reactor's named DomainAffinity ("shard0", ...), the
@@ -259,8 +261,6 @@ class ShardedE2Server {
   /// Per-shard ring capacities: fan-out indications and query replies.
   static constexpr std::size_t kFanoutRing = 4096;
   static constexpr std::size_t kReplyRing = 1024;
-  /// Cadence of each shard's ledger publish into the counter board.
-  static constexpr Nanos kPublishPeriod = 10 * kMilli;
 
   void build_cell(std::uint32_t shard);
   void apply_dir_event(std::uint32_t shard, DirEvent& ev);

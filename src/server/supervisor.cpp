@@ -1,7 +1,6 @@
 #include "server/supervisor.hpp"
 
 #include "server/sharded_server.hpp"
-#include "transport/shard_pool.hpp"
 
 namespace flexric::server {
 
@@ -15,12 +14,10 @@ const char* shard_health_name(ShardHealth h) noexcept {
   return "unknown";
 }
 
-ShardSupervisor::ShardSupervisor(ShardPool& pool, ShardedE2Server& server,
-                                 bool auto_restart)
-    : pool_(pool),
-      server_(server),
+ShardSupervisor::ShardSupervisor(ShardedE2Server& server, bool auto_restart)
+    : server_(server),
       auto_restart_(auto_restart),
-      states_(pool.size()) {}
+      states_(server.num_shards()) {}
 
 void ShardSupervisor::transition(std::uint32_t shard, ShardHealth to) {
   ShardState& st = states_[shard];
@@ -48,9 +45,10 @@ void ShardSupervisor::restart(std::uint32_t shard) {
   server_.rebuild_shard(shard);
   st.restarts++;
   stats_.restarts++;
-  // The replacement starts a fresh heartbeat history: baseline its age at
-  // the rebuild instant so it gets a full kQuarantineAfter of grace.
-  st.last_turns = 0;
+  // The rebuild reset the slot, so the replacement starts a fresh beat
+  // history: baseline its age at the rebuild instant so it gets a full
+  // kQuarantineAfter of grace.
+  st.last_beats = 0;
   st.last_beat = last_now_;
   st.fresh_polls = 0;
   transition(shard, ShardHealth::recovering);
@@ -61,11 +59,11 @@ void ShardSupervisor::poll(Nanos now) {
   stats_.polls++;
   for (std::uint32_t i = 0; i < states_.size(); ++i) {
     ShardState& st = states_[i];
-    const ShardHealthBoard::Beat b = pool_.health().read(i);
-    if (b.turns != st.last_turns) {
-      st.last_turns = b.turns;
-      st.last_beat = b.progress_ns;
-    } else if (st.last_turns == 0 && st.last_beat == 0) {
+    const ShardCounterBoard::Beat b = server_.board().beat(i);
+    if (b.count != st.last_beats) {
+      st.last_beats = b.count;
+      st.last_beat = b.at_ns;
+    } else if (st.last_beats == 0 && st.last_beat == 0) {
       // Never beaten and never observed: grace starts at first sight, not
       // at the epoch, or a freshly built pool would be condemned at once.
       st.last_beat = now;
@@ -74,7 +72,7 @@ void ShardSupervisor::poll(Nanos now) {
     st.last_age = age;
     // A rebuilt shard's grace baseline is not a beat: until the
     // replacement beats once, no poll of it counts as fresh.
-    const bool fresh = age <= kDegradedAfter && st.last_turns != 0;
+    const bool fresh = age <= kDegradedAfter && st.last_beats != 0;
     switch (st.health) {
       case ShardHealth::healthy:
         if (age > kQuarantineAfter) {

@@ -1,10 +1,11 @@
 // Shard supervision: watchdog-driven failure detection, quarantine and
 // stateful recovery (DESIGN.md §15).
 //
-// Each shard loop publishes a cheap heartbeat (loop-turn counter +
-// last-progress timestamp) into the ShardHealthBoard from a reactor timer
-// (ShardPool::enable_heartbeat). The home-side watchdog — this class —
-// reads the slots and classifies every shard through a small state machine:
+// Each shard loop's periodic ledger publish into its ShardCounterBoard slot
+// is its heartbeat: the slot counts the publishes of the shard's current
+// incarnation and keeps the reactor time of the newest. The home-side
+// watchdog — this class — reads the beats and classifies every shard
+// through a small state machine:
 //
 //   healthy ──stale──> degraded ──staler──> quarantined ──rebuild──>
 //   recovering ──N fresh polls──> healthy
@@ -34,11 +35,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/shard_stats.hpp"
-
-namespace flexric {
-class ShardPool;
-}
+#include "common/counters.hpp"
 
 namespace flexric::server {
 
@@ -77,7 +74,7 @@ class ShardSupervisor {
     }
   };
 
-  /// Cadence of each shard loop's heartbeat into the health board,
+  /// Cadence of each shard's ledger publish, which is its heartbeat:
   /// comfortably below kDegradedAfter so a healthy shard does not flap.
   static constexpr Nanos kHeartbeatPeriod = 10 * kMilli;
   /// Beat older than this => degraded (watch, don't act yet — hysteresis
@@ -91,7 +88,7 @@ class ShardSupervisor {
 
   /// `auto_restart` rebuilds a quarantined shard inside the poll that
   /// quarantines it; without it the shard stays contained until restart().
-  ShardSupervisor(ShardPool& pool, ShardedE2Server& server, bool auto_restart);
+  ShardSupervisor(ShardedE2Server& server, bool auto_restart);
 
   /// One watchdog tick (home thread). `now` is home-reactor time — the
   /// same axis the shard heartbeats stamp, since every loop shares the
@@ -130,7 +127,7 @@ class ShardSupervisor {
  private:
   struct ShardState {
     ShardHealth health = ShardHealth::healthy;
-    std::uint64_t last_turns = 0;  ///< newest loop-turn counter seen
+    std::uint64_t last_beats = 0;  ///< newest beat count seen
     Nanos last_beat = 0;           ///< reactor time of that beat
     Nanos last_age = 0;
     std::uint32_t fresh_polls = 0;  ///< hysteresis counter toward healthy
@@ -141,7 +138,6 @@ class ShardSupervisor {
   void transition(std::uint32_t shard, ShardHealth to);
   void quarantine(std::uint32_t shard, Nanos now);
 
-  ShardPool& pool_;
   ShardedE2Server& server_;
   bool auto_restart_;
   std::vector<ShardState> states_;

@@ -17,7 +17,7 @@ const char* ShardPool::domain_name(std::uint32_t shard) noexcept {
 
 ShardPool::ShardPool(std::uint32_t shards, Mode mode,
                      const VirtualClock* clock)
-    : mode_(mode), clock_(clock), health_(shards) {
+    : mode_(mode), clock_(clock) {
   FLEXRIC_ASSERT(shards >= 1 && shards <= kMaxShards,
                  "shard count out of range");
   shards_.resize(shards);
@@ -50,23 +50,6 @@ void ShardPool::init_shard(std::uint32_t i) {
     // @consumer(shard-injector)
     while (ring->try_pop(fn)) fn();
   });
-  s.live = std::make_shared<std::atomic<bool>>(true);
-  if (heartbeat_period_ > 0) arm_heartbeat(i);
-}
-
-void ShardPool::arm_heartbeat(std::uint32_t i) {
-  Shard& s = shards_[i];
-  Reactor* r = s.reactor.get();
-  ShardHealthBoard* health = &health_;
-  s.reactor->add_timer(
-      heartbeat_period_,
-      [r, health, i, live = s.live] {
-        // A retired loop keeps firing its timers until the process exits;
-        // the incarnation flag keeps it off the replacement's board slot.
-        if (!live->load(std::memory_order_relaxed)) return;
-        health->beat(i, r->now());
-      },
-      /*periodic=*/true);
 }
 
 void ShardPool::spawn_shard(std::uint32_t i) {
@@ -78,12 +61,6 @@ void ShardPool::spawn_shard(std::uint32_t i) {
     r->run();
     *cpu_out = thread_cpu_now() - cpu0;
   });
-}
-
-void ShardPool::enable_heartbeat(Nanos period) {
-  heartbeat_period_ = period;
-  if (period <= 0) return;
-  for (std::uint32_t i = 0; i < size(); ++i) arm_heartbeat(i);
 }
 
 void ShardPool::start() {
@@ -146,9 +123,6 @@ int ShardPool::pump_shard(std::uint32_t shard, int rounds) {
 void ShardPool::restart_shard(std::uint32_t shard) {
   FLEXRIC_ASSERT_AFFINITY(owner_);
   Shard& s = shards_[shard];
-  // Silence the dying incarnation's heartbeat before the replacement
-  // claims the board slot (single writer per slot).
-  if (s.live) s.live->store(false, std::memory_order_relaxed);
   if (mode_ == Mode::threaded && started_ && s.thread.joinable()) {
     // A loop the watchdog condemned cannot be joined — joining a wedged
     // thread blocks forever, and std::thread has no timed join. Detach it
@@ -166,7 +140,6 @@ void ShardPool::restart_shard(std::uint32_t shard) {
     s.injector.reset();
     s.reactor.reset();
   }
-  health_.reset(shard);
   init_shard(shard);
   if (mode_ == Mode::threaded && started_) spawn_shard(shard);
   restarts_++;

@@ -16,9 +16,12 @@
 // an SPSC injector ring (this pool's owner thread is the single producer)
 // plus an eventfd wake. Everything else — RAN-DB merge, xApp fan-out,
 // stats — flows shard->home through the rings owned by ShardedE2Server.
+//
+// The pool knows nothing of supervision: a shard's liveness is its ledger
+// publish (ShardCounterBoard, DESIGN.md §15), which ShardedE2Server arms on
+// the shard's reactor like any other timer.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -26,7 +29,6 @@
 
 #include "common/affinity.hpp"
 #include "common/clock.hpp"
-#include "common/shard_stats.hpp"
 #include "common/spsc_ring.hpp"
 #include "transport/reactor.hpp"
 #include "transport/wakeup.hpp"
@@ -92,19 +94,9 @@ class ShardPool {
   /// keeps turning; pump() above is the all-shards loop over this.
   int pump_shard(std::uint32_t shard, int rounds = 8);
 
-  /// Arm a periodic liveness beat on every shard loop: each period the
-  /// shard's reactor timer publishes (loop-turn counter, reactor now) into
-  /// its health-board slot. A wedged loop stops beating — that staleness is
-  /// exactly what the ShardSupervisor watchdog detects (DESIGN.md §15).
-  /// Call before start(); restart_shard() re-arms on the replacement loop.
-  void enable_heartbeat(Nanos period);
-  [[nodiscard]] const ShardHealthBoard& health() const noexcept {
-    return health_;
-  }
-
   /// Stateful shard restart (DESIGN.md §15): replace `shard`'s universe —
   /// reactor, injector ring, wake fd — with a fresh one under the same
-  /// affinity-domain name, and re-arm the heartbeat. Owner-thread only.
+  /// affinity-domain name. Owner-thread only.
   ///
   ///   * manual mode — the dead loop is destroyed in place (its queued
   ///     tasks and timers die with it; the caller accounts for anything it
@@ -132,15 +124,10 @@ class ShardPool {
     std::unique_ptr<WakeupFd> wake;
     std::thread thread;
     Nanos cpu_ns = 0;  ///< written by the shard thread after run() returns
-    /// Incarnation guard: restart_shard() flips it false so a retired
-    /// loop's heartbeat timer goes silent instead of racing the
-    /// replacement for the health-board slot (single writer per slot).
-    std::shared_ptr<std::atomic<bool>> live;
   };
 
   void init_shard(std::uint32_t shard);
   void spawn_shard(std::uint32_t shard);
-  void arm_heartbeat(std::uint32_t shard);
 
   std::vector<Shard> shards_;
   /// Universes of force-restarted threaded shards: a wedged, detached
@@ -150,8 +137,6 @@ class ShardPool {
   Mode mode_;
   bool started_ = false;
   const VirtualClock* clock_ = nullptr;
-  Nanos heartbeat_period_ = 0;  ///< 0 = heartbeat disabled
-  ShardHealthBoard health_;
   std::uint64_t restarts_ = 0;
   /// Single-producer end of every injector ring: the pool owner's thread.
   DomainAffinity owner_{"reactor"};

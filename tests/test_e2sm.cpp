@@ -298,6 +298,27 @@ TEST_P(SmFormats, CorruptPayloadsRejectedCleanly) {
   SUCCEED();
 }
 
+TEST_P(SmFormats, EnumPastItsLastEnumeratorIsMalformed) {
+  // Encoders write any byte; decoders take only declared enumerators.
+  const Buffer wire =
+      sm_encode(EventTrigger{static_cast<TriggerKind>(2), 100}, GetParam());
+  auto d = sm_decode<EventTrigger>(wire, GetParam());
+  ASSERT_FALSE(d.is_ok()) << "TriggerKind 2 decoded";
+  EXPECT_EQ(d.error().code, Errc::malformed);
+  EXPECT_EQ(d.error().message, kBadEnum);
+}
+
+TEST(SmCommon, ProtoVarintWiderThanItsFieldIsMalformed) {
+  // Kind 256 would truncate to periodic.
+  ProtoWriter w;
+  w.field_u64(1, 0x100);
+  w.field_u64(2, 100);
+  const Buffer wire = w.take();
+  auto d = sm_decode<EventTrigger>(wire, WireFormat::proto);
+  ASSERT_FALSE(d.is_ok()) << "kind 256 decoded";
+  EXPECT_EQ(d.error().code, Errc::malformed);
+}
+
 TEST_P(SmFormats, LargeIndicationsRoundTrip) {
   // 32 UEs as in the scalability experiments (§5.3).
   expect_roundtrip(sample_mac(32));

@@ -28,20 +28,32 @@ ResilienceConfig fast_rc() {
 }
 
 // ---------------------------------------------------------------------------
-// Health board unit behavior
+// Counter board: the ledger publish is the heartbeat
 // ---------------------------------------------------------------------------
 
-TEST(HealthBoard, BeatReadReset) {
-  ShardHealthBoard board(2);
-  EXPECT_EQ(board.read(0).turns, 0u);
-  board.beat(0, 5 * kMilli);
-  board.beat(0, 7 * kMilli);
-  EXPECT_EQ(board.read(0).turns, 2u);
-  EXPECT_EQ(board.read(0).progress_ns, 7 * kMilli);
-  EXPECT_EQ(board.read(1).turns, 0u) << "slots are independent";
+TEST(CounterBoard, PublishIsTheBeatAndTheRebuildResetIsNot) {
+  ShardCounterBoard board(2);
+  EXPECT_EQ(board.beat(0).count, 0u);
+  board.publish(0, uniform_ledger(1), board.epoch_of(0), 5 * kMilli);
+  board.publish(0, uniform_ledger(2), board.epoch_of(0), 7 * kMilli);
+  EXPECT_EQ(board.beat(0).count, 2u);
+  EXPECT_EQ(board.beat(0).at_ns, 7 * kMilli);
+  EXPECT_EQ(board.beat(1).count, 0u) << "slots are independent";
+  // A corpse incarnation neither publishes nor beats.
+  const std::uint64_t old_epoch = board.epoch_of(0);
+  board.bump_epoch(0);
+  board.publish(0, uniform_ledger(99), old_epoch, 9 * kMilli);
+  EXPECT_EQ(board.beat(0).count, 2u);
+  EXPECT_EQ(board.beat(0).at_ns, 7 * kMilli);
+  // The rebuild's reset empties the slot and is not a beat.
   board.reset(0);
-  EXPECT_EQ(board.read(0).turns, 0u);
-  EXPECT_EQ(board.read(0).progress_ns, 0);
+  EXPECT_EQ(board.read(0), ShardLedger{});
+  EXPECT_EQ(board.beat(0).count, 0u);
+  EXPECT_EQ(board.beat(0).at_ns, 0);
+  // The replacement's first publish is its first beat.
+  board.publish(0, uniform_ledger(3), board.epoch_of(0), 11 * kMilli);
+  EXPECT_EQ(board.beat(0).count, 1u);
+  EXPECT_EQ(board.beat(0).at_ns, 11 * kMilli);
 }
 
 TEST(CounterBoard, StaleEpochPublishIsDropped) {
