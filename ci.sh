@@ -79,11 +79,14 @@
 #               sharding suite, then (1) test_sharding — partitioner, SPSC
 #               rings (incl. the two-thread hammer, a real race under TSan),
 #               ShardPool, sharded delivery/fan-out/misroute/ledger/resync and
-#               the multi-shard determinism matrix, (2) the affinity death
-#               tests (per-shard domains abort with the offended shard's
-#               name), (3) the chaos + storm soaks' 4-shard instances
+#               the multi-shard determinism matrix, (2) test_transport — each
+#               reactor owns the receive buffer its frames are views into, and
+#               shards pump their reactors on their own threads, (3) the
+#               affinity death tests (per-shard domains abort with the
+#               offended shard's name), (4) the chaos + storm soaks' 4-shard
+#               instances
 #               (--gtest_filter='*shards_4_*') — every seed runs twice and
-#               the traces must match byte-for-byte, (4) the static analyzer:
+#               the traces must match byte-for-byte, (5) the static analyzer:
 #               tree scan (the @affine(shard) domain-ownership proof) and the
 #               fixture golden file.
 set -eu
@@ -181,9 +184,12 @@ run_shard_lane() {
   cmake -B "$build_dir" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFLEXRIC_FUZZ_ITERS="$fuzz_iters" -DFLEXRIC_SANITIZE="thread"
   cmake --build "$build_dir" -j "$jobs" --target \
-    test_sharding test_affinity test_resilience test_overload flexric-analyze
+    test_sharding test_affinity test_transport test_resilience test_overload \
+    flexric-analyze
   echo "==== [shard] sharding suite (rings, pool, delivery, determinism) ===="
   "$build_dir/tests/test_sharding" --gtest_brief=1
+  echo "==== [shard] transport suite (per-reactor receive buffer) ===="
+  "$build_dir/tests/test_transport" --gtest_brief=1
   echo "==== [shard] affinity guards (per-shard domains) ===="
   "$build_dir/tests/test_affinity" --gtest_brief=1
   echo "==== [shard] chaos soak at 4 shards (double-run determinism) ===="

@@ -4,6 +4,14 @@
 
 namespace flexric::ctrl {
 
+namespace {
+
+constexpr auto bearer_key = [](const auto& b) {
+  return std::pair{b.rnti, b.drb_id};
+};
+
+}  // namespace
+
 void MonitorIApp::on_agent_connected(const server::AgentInfo& info) {
   db_[info.id];  // create entry
   for (const auto& f : info.functions) {
@@ -65,7 +73,7 @@ void MonitorIApp::subscribe_stats(server::AgentId agent, std::uint16_t fn_id) {
       auto msg = e2sm::sm_decode<e2sm::mac::IndicationMsg>(ind.message,
                                                            cfg_.sm_format);
       if (msg) {
-        for (const auto& ue : msg->ues) db.mac[ue.rnti] = ue;
+        db.mac.update(msg->ues, [](const auto& ue) { return ue.rnti; });
         if (cfg_.telemetry != nullptr)
           cfg_.telemetry->mac(agent, tstamp, *msg);
       }
@@ -75,7 +83,7 @@ void MonitorIApp::subscribe_stats(server::AgentId agent, std::uint16_t fn_id) {
       auto msg = e2sm::sm_decode<e2sm::rlc::IndicationMsg>(ind.message,
                                                            cfg_.sm_format);
       if (msg) {
-        for (const auto& b : msg->bearers) db.rlc[{b.rnti, b.drb_id}] = b;
+        db.rlc.update(msg->bearers, bearer_key);
         if (cfg_.telemetry != nullptr)
           cfg_.telemetry->rlc(agent, tstamp, *msg);
       }
@@ -85,7 +93,7 @@ void MonitorIApp::subscribe_stats(server::AgentId agent, std::uint16_t fn_id) {
       auto msg = e2sm::sm_decode<e2sm::pdcp::IndicationMsg>(ind.message,
                                                             cfg_.sm_format);
       if (msg) {
-        for (const auto& b : msg->bearers) db.pdcp[{b.rnti, b.drb_id}] = b;
+        db.pdcp.update(msg->bearers, bearer_key);
         if (cfg_.telemetry != nullptr)
           cfg_.telemetry->pdcp(agent, tstamp, *msg);
       }

@@ -1,5 +1,7 @@
 #include "server/server.hpp"
 
+#include <algorithm>
+
 #include "common/affinity.hpp"
 #include "common/log.hpp"
 #include "server/sharding.hpp"
@@ -195,8 +197,7 @@ void E2Server::drop_agent(AgentId id) {
     for (auto& app : iapps_) app->on_agent_disconnected(id);
   }
   // Drop dangling subscriptions of this agent.
-  for (auto sit = subs_.begin(); sit != subs_.end();)
-    sit = (sit->first.agent == id) ? subs_.erase(sit) : std::next(sit);
+  std::erase_if(subs_, [id](const auto& kv) { return kv.first.agent == id; });
 }
 
 void E2Server::fail_ctrls(AgentId id) {
@@ -258,8 +259,17 @@ void E2Server::expire_agent(AgentId id) {
 
 void E2Server::liveness_scan() {
   const Nanos t_now = reactor_.now();
+  // In id order, so iApps hear of quarantines and expiries in the same
+  // order whatever the hash table's layout.
+  std::vector<AgentId> ids;
+  ids.reserve(conns_.size());
+  for (const auto& kv : conns_) ids.push_back(kv.first);
+  std::sort(ids.begin(), ids.end());
   std::vector<AgentId> to_expire;
-  for (auto& [id, c] : conns_) {
+  for (AgentId id : ids) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;
+    Conn& c = it->second;
     if (c.detached) {
       if (cfg_.expire_after > 0 && t_now - c.detached_at >= cfg_.expire_after)
         to_expire.push_back(id);
@@ -292,17 +302,24 @@ void E2Server::ensure_liveness_timer() {
 }
 
 AgentId E2Server::find_detached(const e2ap::GlobalNodeId& node) const {
+  AgentId found = 0;
   for (const auto& [cid, c] : conns_) {
-    if (!c.detached) continue;
+    if (!c.detached || (found != 0 && found < cid)) continue;
     const AgentInfo* info = db_.agent(cid);
-    if (info != nullptr && info->node == node) return cid;
+    if (info != nullptr && info->node == node) found = cid;
   }
-  return 0;
+  return found;
 }
 
 void E2Server::replay_subscriptions(AgentId id) {
-  for (auto& [h, entry] : subs_) {
-    if (h.agent != id) continue;
+  // In handle order: the replayed requests go out as they first did.
+  std::vector<std::pair<SubHandle, SubEntry*>> mine;
+  for (auto& [h, entry] : subs_)
+    if (h.agent == id) mine.emplace_back(h, &entry);
+  std::sort(mine.begin(), mine.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [h, e] : mine) {
+    SubEntry& entry = *e;
     e2ap::SubscriptionRequest req;
     req.request = h.request;  // same RICrequestID: the iApp handle stays valid
     req.ran_function_id = entry.ran_function_id;

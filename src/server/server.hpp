@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "codec/wire.hpp"
@@ -104,6 +105,14 @@ struct SubHandle {
   AgentId agent = 0;
   e2ap::RicRequestId request;
   auto operator<=>(const SubHandle&) const = default;
+  struct Hash {
+    std::size_t operator()(const SubHandle& h) const noexcept {
+      const std::uint64_t key = std::uint64_t{h.agent} << 32 |
+                                std::uint32_t{h.request.requestor} << 16 |
+                                h.request.instance;
+      return std::hash<std::uint64_t>{}(key);
+    }
+  };
 };
 
 // @affine(reactor)
@@ -292,7 +301,7 @@ class E2Server {
   void expire_agent(AgentId id);
   void liveness_scan();
   void ensure_liveness_timer();
-  /// Detached conn whose RanDb node id equals `node`, or 0 if none.
+  /// Smallest detached conn id whose RanDb node id equals `node`, or 0.
   [[nodiscard]] AgentId find_detached(const e2ap::GlobalNodeId& node) const;
   void replay_subscriptions(AgentId id);
 
@@ -300,7 +309,8 @@ class E2Server {
   Config cfg_;
   const e2ap::Codec& codec_;
   std::unique_ptr<TcpListener> listener_;
-  std::map<AgentId, Conn> conns_;
+  /// Hashed: a whole-table walk whose result depends on order sorts first.
+  std::unordered_map<AgentId, Conn> conns_;
   AgentId next_agent_id_ = 1;
   RanDb db_;
   std::vector<std::shared_ptr<IApp>> iapps_;
@@ -313,7 +323,7 @@ class E2Server {
     std::vector<e2ap::Action> actions;
     bool replaying = false;  ///< suppress the duplicate on_response
   };
-  std::map<SubHandle, SubEntry> subs_;
+  std::unordered_map<SubHandle, SubEntry, SubHandle::Hash> subs_;
   struct CtrlEntry {
     CtrlCallbacks cbs;
     std::uint16_t ran_function_id = 0;

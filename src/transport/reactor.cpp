@@ -24,20 +24,40 @@ Reactor::~Reactor() {
   if (epfd_ >= 0) ::close(epfd_);
 }
 
+Reactor::Handler* Reactor::record(int fd) const noexcept {
+  const auto slot = static_cast<std::size_t>(fd);
+  return fd >= 0 && slot < fds_.size() ? fds_[slot].get() : nullptr;
+}
+
+void Reactor::retire(int fd) {
+  // The record may be running right now, and the current batch may still
+  // hold its pointer: kill it here, free it once the batch is done.
+  if (record(fd) == nullptr) return;
+  auto& h = fds_[static_cast<std::size_t>(fd)];
+  h->live = false;
+  dead_.push_back(std::move(h));
+  --num_fds_;
+}
+
 Status Reactor::add_fd(int fd, std::uint32_t events, FdCallback cb) {
+  auto h = std::make_unique<Handler>(Handler{std::move(cb)});
   epoll_event ev{};
   ev.events = events;
-  ev.data.fd = fd;
+  ev.data.ptr = h.get();
   if (epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0)
     return {Errc::io, std::strerror(errno)};
-  fds_[fd] = std::move(cb);
+  if (fds_.size() <= static_cast<std::size_t>(fd)) fds_.resize(fd + 1u);
+  retire(fd);  // a number closed without del_fd came back
+  fds_[static_cast<std::size_t>(fd)] = std::move(h);
+  ++num_fds_;
   return Status::ok();
 }
 
 Status Reactor::mod_fd(int fd, std::uint32_t events) {
   epoll_event ev{};
   ev.events = events;
-  ev.data.fd = fd;
+  ev.data.ptr = record(fd);
+  if (ev.data.ptr == nullptr) return {Errc::io, "fd not registered"};
   if (epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0)
     return {Errc::io, std::strerror(errno)};
   return Status::ok();
@@ -45,7 +65,7 @@ Status Reactor::mod_fd(int fd, std::uint32_t events) {
 
 void Reactor::del_fd(int fd) {
   epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  fds_.erase(fd);
+  retire(fd);
 }
 
 Reactor::TimerId Reactor::add_timer(Nanos period, std::function<void()> cb,
@@ -63,11 +83,10 @@ void Reactor::post(std::function<void()> task) {
 }
 
 int Reactor::drain_tasks() {
-  int handled = 0;
   // Only drain tasks queued before this call: a task that posts another
   // task yields to I/O first (prevents starvation).
-  std::size_t n = tasks_.size();
-  for (std::size_t i = 0; i < n && !tasks_.empty(); ++i) {
+  int handled = 0;
+  for (std::size_t n = tasks_.size(); n > 0 && !tasks_.empty(); --n) {
     auto task = std::move(tasks_.front());
     tasks_.pop();
     task();
@@ -125,7 +144,7 @@ int Reactor::run_once(int timeout_ms) {
   // Size the ready buffer to the fd population so one epoll_wait can report
   // every ready handle; loop on full batches anyway (fds registered by
   // handlers mid-drain can exceed the snapshot).
-  if (ready_.size() < fds_.size()) ready_.resize(fds_.size());
+  if (ready_.size() < num_fds_) ready_.resize(num_fds_);
   int timeout = handled > 0 ? 0 : next_timeout_ms(timeout_ms);
   int n;
   do {
@@ -137,14 +156,12 @@ int Reactor::run_once(int timeout_ms) {
       return handled;
     }
     for (int i = 0; i < n; ++i) {
-      int fd = ready_[i].data.fd;
-      auto it = fds_.find(fd);
-      if (it == fds_.end()) continue;  // removed by an earlier handler
-      // Copy: the handler may del_fd(fd) and invalidate the iterator.
-      FdCallback cb = it->second;
-      cb(ready_[i].events);
+      auto* h = static_cast<Handler*>(ready_[i].data.ptr);
+      if (!h->live) continue;  // removed by an earlier handler
+      h->cb(ready_[i].events);
       ++handled;
     }
+    dead_.clear();
     timeout = 0;  // further rounds only drain what is already ready
   } while (n == static_cast<int>(ready_.size()));
   handled += fire_due_timers();

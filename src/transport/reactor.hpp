@@ -14,7 +14,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/affinity.hpp"
@@ -43,8 +45,19 @@ class Reactor {
   Status add_fd(int fd, std::uint32_t events, FdCallback cb);
   /// Change the event mask of a registered fd.
   Status mod_fd(int fd, std::uint32_t events);
-  /// Unregister; safe to call from within the fd's own callback.
+  /// Unregister; safe to call from within the fd's own callback. An event
+  /// of this fd still pending in the current batch is dropped, even when
+  /// the fd number is registered again before the batch ends.
   void del_fd(int fd);
+
+  /// Receive scratch shared by every connection on this loop: a handler
+  /// reads into it and must consume (or copy) the bytes before it returns.
+  /// One per reactor, so each shard's thread has its own.
+  [[nodiscard]] std::span<std::uint8_t> rx_buffer() {
+    if (!rx_buf_)
+      rx_buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(kRxBuffer);
+    return {rx_buf_.get(), kRxBuffer};
+  }
 
   /// One-shot or periodic timer; period is in nanoseconds of reactor time
   /// (real time by default, virtual time under set_time_source).
@@ -70,6 +83,7 @@ class Reactor {
 
   /// Process ready events/timers/tasks once. Blocks up to timeout_ms when
   /// nothing is pending (pass 0 to poll). Returns number of items handled.
+  /// Not re-entrant: a handler must not pump its own reactor.
   int run_once(int timeout_ms);
   /// Loop until stop() is called.
   void run();
@@ -93,11 +107,21 @@ class Reactor {
     Nanos deadline;
     Nanos period;  // 0 = one-shot
     TimerId id;
+    /// Same-instant timers fire in arming order, whatever the heap's shape.
     bool operator>(const Timer& o) const noexcept {
-      return deadline > o.deadline;
+      return deadline != o.deadline ? deadline > o.deadline : id > o.id;
     }
   };
+  /// One registered fd. epoll's `data.ptr` points at it, so dispatch needs
+  /// no lookup; del_fd() marks it dead and it is freed after the batch.
+  struct Handler {
+    FdCallback cb;
+    bool live = true;
+  };
+  static constexpr std::size_t kRxBuffer = 64 * 1024;
 
+  [[nodiscard]] Handler* record(int fd) const noexcept;
+  void retire(int fd);
   int fire_due_timers();
   int drain_tasks();
   [[nodiscard]] int next_timeout_ms(int requested) const;
@@ -106,7 +130,10 @@ class Reactor {
   bool running_ = false;
   const VirtualClock* vclock_ = nullptr;
   std::vector<epoll_event> ready_;  ///< sized to the registered fd count
-  std::map<int, FdCallback> fds_;
+  std::vector<std::unique_ptr<Handler>> fds_;   ///< indexed by fd number
+  std::vector<std::unique_ptr<Handler>> dead_;  ///< freed after the batch
+  std::size_t num_fds_ = 0;
+  std::unique_ptr<std::uint8_t[]> rx_buf_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timer_heap_;
   std::map<TimerId, std::function<void()>> timer_cbs_;  // absent = cancelled
   TimerId next_timer_id_ = 1;

@@ -10,24 +10,11 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "common/log.hpp"
 
 namespace flexric {
-
-namespace {
-
-void set_nonblocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void set_nodelay(int fd) {
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-}
-
-}  // namespace
 
 void append_frame(Buffer& out, BytesView msg, StreamId stream) {
   std::uint32_t len = static_cast<std::uint32_t>(msg.size());
@@ -43,24 +30,42 @@ void append_frame(Buffer& out, BytesView msg, StreamId stream) {
 // ---------------------------------------------------------------------------
 
 Status FrameAssembler::feed(BytesView bytes, const FrameSink& sink) {
-  rx_.insert(rx_.end(), bytes.begin(), bytes.end());
+  auto header = [](const std::uint8_t* p) {  // (length, stream)
+    BufReader r(BytesView(p, kFrameHeaderSize));
+    const std::uint32_t len = *r.u32();
+    return std::pair{len, *r.u16()};
+  };
+  auto take = [&](std::size_t want) {  // top rx_ up to `want` bytes
+    const std::size_t n = std::min(want - rx_.size(), bytes.size());
+    rx_.insert(rx_.end(), bytes.begin(), bytes.begin() + static_cast<long>(n));
+    bytes = bytes.subspan(n);
+    return rx_.size() == want;
+  };
+  // Finish a frame an earlier feed left partial with only the bytes it
+  // misses; every later whole frame is delivered in place.
+  bool keep_going = true;
+  if (!rx_.empty()) {
+    if (!take(std::max(rx_.size(), kFrameHeaderSize))) return Status::ok();
+    const auto [len, stream] = header(rx_.data());
+    if (len > max_frame_) return {Errc::malformed, "oversized frame"};
+    if (!take(kFrameHeaderSize + len)) return Status::ok();
+    keep_going = sink(stream, BytesView(rx_).subspan(kFrameHeaderSize));
+    rx_.clear();
+  }
   std::size_t off = 0;
   Status st = Status::ok();
-  while (rx_.size() - off >= kFrameHeaderSize) {
-    BufReader hdr(BytesView(rx_).subspan(off, kFrameHeaderSize));
-    std::uint32_t len = *hdr.u32();
-    StreamId stream = *hdr.u16();
+  while (keep_going && bytes.size() - off >= kFrameHeaderSize) {
+    const auto [len, stream] = header(bytes.data() + off);
     if (len > max_frame_) {
       st = {Errc::malformed, "oversized frame"};
       break;
     }
-    if (rx_.size() - off - kFrameHeaderSize < len) break;  // incomplete
-    bool keep_going =
-        sink(stream, BytesView(rx_).subspan(off + kFrameHeaderSize, len));
+    if (bytes.size() - off - kFrameHeaderSize < len) break;  // incomplete
+    keep_going = sink(stream, bytes.subspan(off + kFrameHeaderSize, len));
     off += kFrameHeaderSize + len;
-    if (!keep_going) break;
   }
-  if (off > 0) rx_.erase(rx_.begin(), rx_.begin() + static_cast<long>(off));
+  // Copied: a trailing partial frame, or what a stop left undelivered.
+  rx_.assign(bytes.begin() + static_cast<long>(off), bytes.end());
   return st;
 }
 
@@ -70,8 +75,9 @@ Status FrameAssembler::feed(BytesView bytes, const FrameSink& sink) {
 
 TcpTransport::TcpTransport(Reactor& reactor, int fd)
     : reactor_(reactor), fd_(fd) {
-  set_nonblocking(fd_);
-  set_nodelay(fd_);
+  fcntl(fd_, F_SETFL, fcntl(fd_, F_GETFL, 0) | O_NONBLOCK);
+  const int one = 1;
+  setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   Status st =
       reactor_.add_fd(fd_, EPOLLIN, [this](std::uint32_t ev) { on_events(ev); });
   FLEXRIC_ASSERT(st.is_ok(), "TcpTransport: add_fd failed");
@@ -89,11 +95,7 @@ void TcpTransport::close() {
   reactor_.del_fd(fd_);
   ::close(fd_);
   fd_ = -1;
-  if (on_close_) {
-    auto cb = std::move(on_close_);
-    on_close_ = nullptr;
-    cb();
-  }
+  if (auto cb = std::exchange(on_close_, nullptr)) cb();
 }
 
 std::string TcpTransport::peer_name() const {
@@ -171,37 +173,26 @@ void TcpTransport::on_events(std::uint32_t events) {
 }
 
 void TcpTransport::read_ready() {
-  std::uint8_t chunk[65536];
-  Buffer pending;
-  bool eof = false;
-  while (fd_ >= 0) {
-    ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      pending.insert(pending.end(), chunk, chunk + n);
-      if (static_cast<std::size_t>(n) < sizeof chunk) break;
-      continue;
-    }
-    if (n == 0) {  // orderly shutdown: deliver what arrived, then close
-      eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    LOG_WARN("tcp", "recv error: %s", std::strerror(errno));
-    close();
-    return;
-  }
-  // Deliver complete frames; a handler closing us stops the drain.
-  Status st = rx_.feed(pending, [this](StreamId stream, BytesView msg) {
-    if (on_msg_) on_msg_(stream, msg);
+  // Frames are handed out as views into the reactor's receive buffer, so a
+  // handler's view dies with its call; a handler closing us stops the drain.
+  const std::span<std::uint8_t> buf = reactor_.rx_buffer();
+  const FrameAssembler::FrameSink deliver = [this](StreamId s, BytesView m) {
+    if (on_msg_) on_msg_(s, m);
     return fd_ >= 0;
-  });
-  if (!st.is_ok()) {
-    LOG_WARN("tcp", "bad frame from %s: %s", peer_name().c_str(),
-             st.to_string().c_str());
-    close();
-    return;
+  };
+  while (fd_ >= 0) {
+    const ssize_t n = ::recv(fd_, buf.data(), buf.size(), 0);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    if (n < 0) LOG_WARN("tcp", "recv error: %s", std::strerror(errno));
+    const auto got = static_cast<std::size_t>(std::max<ssize_t>(n, 0));
+    Status st = rx_.feed(BytesView(buf.data(), got), deliver);
+    if (!st.is_ok())
+      LOG_WARN("tcp", "bad frame from %s: %s", peer_name().c_str(),
+               st.to_string().c_str());
+    // n == 0 is an orderly shutdown: what arrived was delivered already.
+    if (n <= 0 || !st.is_ok()) close();
+    if (got < buf.size()) return;
   }
-  if (eof) close();
 }
 
 Result<std::unique_ptr<TcpTransport>> TcpTransport::connect(
@@ -233,7 +224,7 @@ TcpListener::TcpListener(Reactor& reactor, AcceptHandler on_accept)
 TcpListener::~TcpListener() { close(); }
 
 Status TcpListener::listen(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd_ < 0) return {Errc::io, std::strerror(errno)};
   int one = 1;
   setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
@@ -241,13 +232,8 @@ Status TcpListener::listen(std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    Status st{Errc::io, std::strerror(errno)};
-    ::close(fd_);
-    fd_ = -1;
-    return st;
-  }
-  if (::listen(fd_, 64) != 0) {
+  if (bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(fd_, 64) != 0) {
     Status st{Errc::io, std::strerror(errno)};
     ::close(fd_);
     fd_ = -1;
@@ -256,7 +242,6 @@ Status TcpListener::listen(std::uint16_t port) {
   socklen_t len = sizeof addr;
   getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
-  set_nonblocking(fd_);
   return reactor_.add_fd(fd_, EPOLLIN,
                          [this](std::uint32_t) { accept_ready(); });
 }
@@ -306,11 +291,7 @@ Status LocalTransport::send(BytesView msg, StreamId stream) {
 void LocalTransport::close() {
   if (!open_) return;
   open_ = false;
-  if (on_close_) {
-    auto cb = std::move(on_close_);
-    on_close_ = nullptr;
-    cb();
-  }
+  if (auto cb = std::exchange(on_close_, nullptr)) cb();
   if (auto peer = peer_.lock(); peer && peer->open_) {
     std::weak_ptr<LocalTransport> target = peer;
     reactor_.post([target]() {

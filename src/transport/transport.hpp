@@ -44,12 +44,15 @@ class FrameAssembler {
   /// closed by the handler); already-consumed frames stay consumed.
   using FrameSink = std::function<bool(StreamId, BytesView)>;
 
-  /// Append `bytes` and deliver every complete frame. Errc::malformed on an
-  /// oversized length field (the stream can only be desynchronized garbage
-  /// from that point on).
+  /// Deliver every complete frame in `bytes`, after the partial one an
+  /// earlier feed left. A frame that sits whole in `bytes` is handed out as
+  /// a view into it, valid only during the sink call; only a trailing
+  /// partial frame is copied. Errc::malformed on an oversized length field
+  /// (the stream can only be desynchronized garbage from that point on).
   Status feed(BytesView bytes, const FrameSink& sink);
 
-  /// Bytes buffered waiting for the rest of a frame.
+  /// Bytes buffered waiting for the rest of a frame: the partial frame
+  /// only, never a frame already delivered.
   [[nodiscard]] std::size_t buffered() const noexcept { return rx_.size(); }
 
   /// Cap on the peer-claimed frame length (default kMaxFrameSize). The

@@ -2,7 +2,10 @@
 // monitoring iApp, slicing iApp (REST + SC SM), TC xApp policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <random>
 #include <thread>
 
 #include "agent/agent.hpp"
@@ -354,6 +357,63 @@ TEST(Monitor, RepublishesToBroker) {
   w.run_ttis(10);
   pump(w.reactor, 5);
   EXPECT_GT(published, 5);
+}
+
+// The monitor's flat records against a std::map oracle: seeded reports in
+// which UEs join, leave and change order. After every report both must hold
+// the same records in the same order, and find() must agree.
+TEST(FlatRecords, MatchStdMapOracleOverSeededReports) {
+  using Key = std::pair<std::uint16_t, std::uint8_t>;
+  auto key = [](const e2sm::rlc::BearerStats& b) {
+    return Key{b.rnti, b.drb_id};
+  };
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    std::mt19937_64 rng(seed);
+    FlatRecords<Key, e2sm::rlc::BearerStats> flat;
+    std::map<Key, e2sm::rlc::BearerStats> oracle;
+    std::vector<Key> attached;
+    for (int report = 0; report < 300; ++report) {
+      const auto roll = rng() % 8;
+      if (roll == 0 || attached.empty()) {  // a UE joins with 1-2 bearers
+        const auto rnti = static_cast<std::uint16_t>(rng() % 200);
+        for (std::uint8_t drb = 1; drb <= 1 + rng() % 2; ++drb)
+          if (std::find(attached.begin(), attached.end(), Key{rnti, drb}) ==
+              attached.end())
+            attached.emplace_back(rnti, drb);
+      } else if (roll == 1) {  // one leaves: its last record stays
+        attached.erase(attached.begin() +
+                       static_cast<long>(rng() % attached.size()));
+      } else if (roll == 2) {  // the agent lists them in a new order
+        std::shuffle(attached.begin(), attached.end(), rng);
+      }
+      std::vector<e2sm::rlc::BearerStats> msg;
+      for (const Key& k : attached)
+        if (rng() % 10 != 0) {  // now and then a bearer skips a report
+          e2sm::rlc::BearerStats b;
+          b.rnti = k.first;
+          b.drb_id = k.second;
+          b.tx_bytes = rng();
+          b.buffer_bytes = static_cast<std::uint32_t>(report);
+          msg.push_back(b);
+        }
+      flat.update(msg, key);
+      for (const auto& b : msg) oracle[key(b)] = b;
+      ASSERT_EQ(flat.size(), oracle.size()) << "seed " << seed;
+      ASSERT_TRUE(std::equal(flat.begin(), flat.end(), oracle.begin(),
+                             oracle.end(),
+                             [](const auto& x, const auto& y) {
+                               return x.first == y.first &&
+                                      x.second == y.second;
+                             }))
+          << "seed " << seed << ", report " << report;
+      for (const auto& [k, v] : oracle) {
+        auto it = flat.find(k);
+        ASSERT_NE(it, flat.end());
+        EXPECT_EQ(it->second, v);
+      }
+      EXPECT_EQ(flat.find(Key{999, 0}), flat.end());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

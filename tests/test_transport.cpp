@@ -5,7 +5,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <thread>
 
 #include "helpers.hpp"
 #include "transport/transport.hpp"
@@ -74,6 +76,63 @@ TEST(Reactor, CancelledTimerNeverFires) {
   reactor.cancel_timer(id);
   pump(reactor, 30);
   EXPECT_EQ(fired, 0);
+}
+
+// Timers due at one instant fire in the order they were armed, however the
+// heap happens to be shaped, on the first round and after periodic re-arms.
+TEST(Reactor, SameDeadlineTimersFireInArmingOrder) {
+  VirtualClock clock;
+  Reactor reactor;
+  reactor.set_time_source(&clock);
+  std::vector<int> order;
+  constexpr int kTimers = 8;
+  for (int i = 0; i < kTimers; ++i)
+    reactor.add_timer(kMilli, [&order, i] { order.push_back(i); },
+                      /*periodic=*/i % 2 == 0);
+  clock.advance(kMilli);
+  reactor.run_once(0);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+  order.clear();
+  clock.advance(kMilli);
+  reactor.run_once(0);
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6}));
+}
+
+// One epoll batch reports two ready pipes. The first handler to run closes
+// the other pipe and puts a quiet fd under its number: the closed fd's
+// already-reported event must be dropped, not handed to the newcomer.
+TEST(Reactor, StaleEventOfAClosedFdNeverReachesItsSuccessor) {
+  Reactor reactor;
+  std::array<int, 2> a{}, b{}, quiet{};
+  ASSERT_EQ(pipe(a.data()), 0);
+  ASSERT_EQ(pipe(b.data()), 0);
+  ASSERT_EQ(pipe(quiet.data()), 0);
+  int successor_events = 0;
+  bool replaced = false;
+  auto replace = [&](int victim) {
+    if (replaced) return;
+    replaced = true;
+    reactor.del_fd(victim);
+    ASSERT_EQ(dup2(quiet[0], victim), victim);  // closes the victim's pipe
+    ASSERT_TRUE(reactor
+                    .add_fd(victim, EPOLLIN,
+                            [&](std::uint32_t) { successor_events++; })
+                    .is_ok());
+  };
+  ASSERT_TRUE(
+      reactor.add_fd(a[0], EPOLLIN, [&](std::uint32_t) { replace(b[0]); })
+          .is_ok());
+  ASSERT_TRUE(
+      reactor.add_fd(b[0], EPOLLIN, [&](std::uint32_t) { replace(a[0]); })
+          .is_ok());
+  ASSERT_EQ(write(a[1], "x", 1), 1);
+  ASSERT_EQ(write(b[1], "x", 1), 1);
+  reactor.run_once(0);
+  ASSERT_TRUE(replaced);
+  pump(reactor, 5);
+  EXPECT_EQ(successor_events, 0);
+  for (int fd : {a[0], b[0]}) reactor.del_fd(fd);
+  for (int fd : {a[0], a[1], b[0], b[1], quiet[0], quiet[1]}) close(fd);
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +567,159 @@ TEST(FrameAssembler, SinkReturningFalseStopsDrain) {
   EXPECT_EQ(delivered, 2);
   // The undelivered third frame stays buffered, not lost.
   EXPECT_EQ(fa.buffered(), kFrameHeaderSize + msg.size());
+}
+
+// ---------------------------------------------------------------------------
+// Receive path: whole frames are views into the read; only a trailing
+// partial frame is copied into the connection's own buffer
+// ---------------------------------------------------------------------------
+
+using Frames = std::vector<std::pair<StreamId, Buffer>>;
+
+/// A socketpair whose first end is a TcpTransport recording every frame.
+struct RawPeer {
+  Reactor reactor;
+  int sv[2] = {-1, -1};
+  std::unique_ptr<TcpTransport> rx;
+  Frames got;
+
+  RawPeer() {
+    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    rx = std::make_unique<TcpTransport>(reactor, sv[0]);
+    rx->set_on_message([this](StreamId s, BytesView b) {
+      got.emplace_back(s, Buffer(b.begin(), b.end()));
+    });
+  }
+  ~RawPeer() { close(sv[1]); }
+  void write_bytes(BytesView b) const {
+    ASSERT_EQ(write(sv[1], b.data(), b.size()),
+              static_cast<ssize_t>(b.size()));
+  }
+};
+
+TEST(TcpTransport, ManyFramesInOneReadAllDelivered) {
+  RawPeer p;
+  Frames sent;
+  Buffer wire;
+  for (int i = 0; i < 300; ++i) {
+    sent.emplace_back(static_cast<StreamId>(i),
+                      Buffer(static_cast<std::size_t>(i % 40),
+                             static_cast<std::uint8_t>(i)));
+    append_frame(wire, sent.back().second, sent.back().first);
+  }
+  p.write_bytes(wire);
+  p.reactor.run_once(100);  // one wake-up, one read
+  EXPECT_EQ(p.got, sent);
+}
+
+TEST(TcpTransport, FrameDribbledOneBytePerReadBetweenWholeFrames) {
+  RawPeer p;
+  const Frames sent = {{1, Buffer(50, 0xA1)}, {2, Buffer(30, 0xB2)},
+                       {3, Buffer(20, 0xC3)}};
+  Buffer first, middle, last;
+  append_frame(first, sent[0].second, sent[0].first);
+  append_frame(middle, sent[1].second, sent[1].first);
+  append_frame(last, sent[2].second, sent[2].first);
+  first.push_back(middle.front());  // a whole frame and one byte
+  p.write_bytes(first);
+  pump(p.reactor, 2);
+  ASSERT_EQ(p.got.size(), 1u);
+  for (std::size_t i = 1; i + 1 < middle.size(); ++i) {
+    p.write_bytes(BytesView(middle).subspan(i, 1));
+    pump(p.reactor, 2);
+    ASSERT_EQ(p.got.size(), 1u) << "delivered early at byte " << i;
+  }
+  last.insert(last.begin(), middle.back());  // the last byte, a whole frame
+  p.write_bytes(last);
+  pump(p.reactor, 2);
+  EXPECT_EQ(p.got, sent);
+}
+
+TEST(TcpTransport, HandlerClosingItsTransportMidBatchStopsDelivery) {
+  RawPeer p;
+  int delivered = 0;
+  p.rx->set_on_message([&](StreamId, BytesView) {
+    if (++delivered == 2) p.rx->close();
+  });
+  Buffer wire;
+  for (int i = 0; i < 5; ++i) append_frame(wire, Buffer{1, 2, 3}, 0);
+  p.write_bytes(wire);  // five frames, one read
+  pump(p.reactor, 5);
+  EXPECT_EQ(delivered, 2);
+  EXPECT_FALSE(p.rx->is_open());
+}
+
+// Shards pump one reactor per thread: each loop's frames are views into its
+// own receive buffer, so two loops reading at once never share bytes (a
+// shared buffer is a data race under TSan and garbles frames without it).
+TEST(TcpTransport, ReactorsOnTwoThreadsReceiveIntoTheirOwnBuffers) {
+  constexpr int kFrames = 2000;
+  auto run = [](std::uint8_t fill, bool* ok) {
+    RawPeer p;
+    int good = 0;
+    p.rx->set_on_message([&](StreamId, BytesView b) {
+      good += b.size() == 64 &&
+              std::all_of(b.begin(), b.end(),
+                          [fill](std::uint8_t x) { return x == fill; });
+    });
+    Buffer wire;
+    for (int i = 0; i < 50; ++i) append_frame(wire, Buffer(64, fill), 0);
+    for (int sent = 0; sent < kFrames; sent += 50) {
+      p.write_bytes(wire);
+      pump(p.reactor, 2);
+    }
+    pump_until(p.reactor, [&] { return good == kFrames; });
+    *ok = good == kFrames;
+  };
+  bool ok_a = false, ok_b = false;
+  std::thread a(run, std::uint8_t{0xAA}, &ok_a);
+  std::thread b(run, std::uint8_t{0xBB}, &ok_b);
+  a.join();
+  b.join();
+  EXPECT_TRUE(ok_a);
+  EXPECT_TRUE(ok_b);
+}
+
+TEST(FrameAssembler, PartialFrameAcrossThreeReadsBuffersOnlyThePartial) {
+  const Frames sent = {{1, Buffer(10, 1)}, {2, Buffer(100, 2)},
+                       {3, Buffer(5, 3)}, {4, Buffer(50, 4)}};
+  Buffer wire;
+  for (const auto& [s, m] : sent) append_frame(wire, m, s);
+  const std::size_t a = kFrameHeaderSize + 10, b = kFrameHeaderSize + 100,
+                    c = kFrameHeaderSize + 5;
+  // Read 1: frame 1 and half of frame 2's header. Read 2: the rest of the
+  // header and 37 payload bytes. Read 3: the rest of frame 2, frame 3 and
+  // 20 bytes of frame 4.
+  const std::size_t cut1 = a + 3, cut2 = cut1 + 40, cut3 = a + b + c + 20;
+  FrameAssembler fa;
+  Frames got;
+  BytesView read;
+  bool in_place = true;
+  auto sink = [&](StreamId s, BytesView m) {
+    got.emplace_back(s, Buffer(m.begin(), m.end()));
+    // A frame that sits whole in the read is a view into it, not a copy.
+    if (s != 2)
+      in_place = in_place && m.data() >= read.data() &&
+                 m.data() + m.size() <= read.data() + read.size();
+    return true;
+  };
+  read = BytesView(wire).first(cut1);
+  ASSERT_TRUE(fa.feed(read, sink).is_ok());
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(fa.buffered(), 3u);
+  read = BytesView(wire).subspan(cut1, cut2 - cut1);
+  ASSERT_TRUE(fa.feed(read, sink).is_ok());
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(fa.buffered(), 43u);
+  read = BytesView(wire).subspan(cut2, cut3 - cut2);
+  ASSERT_TRUE(fa.feed(read, sink).is_ok());
+  EXPECT_EQ(got, Frames(sent.begin(), sent.begin() + 3));
+  EXPECT_EQ(fa.buffered(), 20u) << "only frame 4's partial stays buffered";
+  EXPECT_TRUE(in_place);
+  read = BytesView(wire).subspan(cut3);
+  ASSERT_TRUE(fa.feed(read, sink).is_ok());
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(fa.buffered(), 0u);
 }
 
 }  // namespace
